@@ -31,7 +31,12 @@ def _load(path: str) -> tuple[RleImage, ImageFileMeta | None]:
     data = Path(path).read_bytes()
     if data[:2] in (b"P1", b"P4"):
         return read_pbm(data)
-    return read_rle_text(data.decode()), None
+    try:
+        text = data.decode()
+    except UnicodeDecodeError as exc:
+        raise RleTextParseError(f"input is not valid UTF-8 RLE text: {exc.reason}",
+                                data.count(b"\n", 0, exc.start) + 1) from exc
+    return read_rle_text(text), None
 
 
 def _guess_format(path: str, explicit: str | None) -> str:

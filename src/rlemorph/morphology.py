@@ -8,6 +8,13 @@ scan jump k candidates to the right (jump on miss); a successful probe
 yields the full eroded run from the minimum right distance over the
 skeleton (jump on hit).  Dilation is erosion of the complement with the
 reflected element, restricted to finite rectangles.
+
+One kernel, ``_scan_kernel``, does the scan for traced and untraced
+erosion alike: it always counts candidates, probes, jumps and hits, and
+records candidate positions and jumps only when asked.  With numba it is
+compiled (``BACKEND == "numba"``); without it the same source runs on
+memoryviews of the arrays, which read as Python ints
+(``BACKEND == "python"``).
 """
 from __future__ import annotations
 
@@ -38,6 +45,9 @@ try:
     from numba import njit as _njit
 except ImportError:  # pragma: no cover - numba is an optional accelerator
     _njit = None
+
+# Which backend runs the scan kernel: "numba" (compiled) or "python".
+BACKEND = "python" if _njit is None else "numba"
 
 
 class EmptyStructuringElementError(ValueError):
@@ -157,13 +167,19 @@ def erode_check_at(tables: ErosionTables, skel: SkeletonTable, h: Point) -> bool
     return True
 
 
-def _scan_kernel(left, right, ox, oy, cut, entries, out):
-    """Untraced jump-scan over packed arrays; returns the emitted run count.
+def _scan_kernel(left, right, ox, oy, cut, entries, out, counts, record,
+                 cand_out, jump_out):
+    """Jump scan of x_cut; returns the number of runs written to out.
 
-    Same control flow as the traced Python scan in _scan; keep the two in
-    sync (a regression test asserts identical output).
+    out receives the eroded runs as (lx, rx, y) rows in the anchored frame,
+    counts receives [candidates, probes, jumps, hits].  When record is set,
+    cand_out receives every candidate as (x, y) and jump_out every jump on
+    miss as (x, y, k); each needs as many rows as x_cut has pixels.
     """
     n_out = 0
+    n_cand = 0
+    n_probe = 0
+    n_jump = 0
     rows, cols = left.shape
     n_entries = entries.shape[0]
     for ri in range(cut.shape[0]):
@@ -172,9 +188,19 @@ def _scan_kernel(left, right, ox, oy, cut, entries, out):
         y0 = cut[ri, 2]
         gy_base = y0 - oy
         x = lx0
+        # (index, x) of an entry already verified at x by a jump that landed
+        # there; skipped when the entry pass restarts.
         ver_idx = -1
         ver_x = lx0 - 1
+        # A jump counts its landing as a candidate, so only the start of a
+        # run and the position after a hit are counted at the loop head.
+        fresh = True
         while x <= rx0:
+            if fresh:
+                if record:
+                    cand_out[n_cand, 0] = x
+                    cand_out[n_cand, 1] = y0
+                n_cand += 1
             miss = False
             diff = 0
             idx = 0
@@ -182,23 +208,35 @@ def _scan_kernel(left, right, ox, oy, cut, entries, out):
                 if idx == ver_idx and x == ver_x:
                     continue
                 sx = entries[idx, 0]
-                sy = entries[idx, 1]
                 depth = entries[idx, 2]
-                gy = gy_base + sy
+                gy = gy_base + entries[idx, 1]
+                row_in = 0 <= gy < rows
                 gx = x + sx - ox
-                v = left[gy, gx] if 0 <= gy < rows and 0 <= gx < cols else 0
+                v = left[gy, gx] if row_in and 0 <= gx < cols else 0
+                n_probe += 1
                 diff = depth - v
                 while diff > 0:
                     miss = True
+                    if record:
+                        jump_out[n_jump, 0] = x
+                        jump_out[n_jump, 1] = y0
+                        jump_out[n_jump, 2] = diff
+                    n_jump += 1
                     x += diff
                     if x > rx0:
                         break
                     gx = x + sx - ox
-                    v = left[gy, gx] if 0 <= gy < rows and 0 <= gx < cols else 0
+                    v = left[gy, gx] if row_in and 0 <= gx < cols else 0
+                    n_probe += 1
+                    if record:
+                        cand_out[n_cand, 0] = x
+                        cand_out[n_cand, 1] = y0
+                    n_cand += 1
                     diff = depth - v
                 if miss:
                     break
             if miss:
+                fresh = False
                 if x <= rx0 and diff <= 0:
                     ver_idx = idx
                     ver_x = x
@@ -215,101 +253,47 @@ def _scan_kernel(left, right, ox, oy, cut, entries, out):
                 out[n_out, 2] = y0
                 n_out += 1
                 x += min_dist + 1
+                fresh = True
+    counts[0] = n_cand
+    counts[1] = n_probe
+    counts[2] = n_jump
+    counts[3] = n_out
     return n_out
 
 
 if _njit is not None:
     _scan_kernel = _njit(cache=True)(_scan_kernel)
+    _kernel_arg = np.asarray
+else:
+    # The interpreted kernel reads memoryviews of the arrays: no copy, and
+    # each read is a Python int, far cheaper to work with than a numpy scalar.
+    _kernel_arg = memoryview
 
 
-def _scan_fast(tables: ErosionTables, skel: SkeletonTable) -> list[Run]:
-    cut = np.array(tables.x_cut.runs, dtype=np.int64)
-    entries = np.array(
-        [(s.x, s.y, depth) for s, depth in skel.entries], dtype=np.int64
-    )
-    out = np.empty((tables.x_cut.pixel_count(), 3), dtype=np.int64)
-    n = _scan_kernel(
-        tables.left, tables.right, tables.offset.x, tables.offset.y, cut,
-        entries, out,
-    )
-    return [Run(int(a), int(b), int(c)) for a, b, c in out[:n]]
-
-
-def _scan(tables: ErosionTables, skel: SkeletonTable, trace: ErodeTrace | None) -> list[Run]:
-    """Jump-scan of x_cut.  Returns the eroded runs in the anchored frame."""
-    if tables.x_cut.is_empty:
-        return []
-    if trace is None:
-        return _scan_fast(tables, skel)
-    left = tables.left.tolist()
-    right = tables.right.tolist()
-    rows = len(left)
-    cols = len(left[0]) if rows else 0
+def _scan(tables: ErosionTables, skel: SkeletonTable, trace: ErodeTrace | None) -> np.ndarray:
+    """Jump scan of x_cut.  Returns the eroded runs in the anchored frame as
+    (lx, rx, y) rows and adds the scan's counts and events to trace."""
+    n_px = tables.x_cut.pixel_count()
+    n_rec = n_px if trace is not None else 0
+    cut = np.array(tables.x_cut.runs, dtype=np.int64).reshape(-1, 3)
+    entries = np.array([(s.x, s.y, depth) for s, depth in skel.entries], dtype=np.int64)
+    out = np.empty((n_px, 3), dtype=np.int64)
+    counts = np.zeros(4, dtype=np.int64)
+    cand_out = np.empty((n_rec, 2), dtype=np.int64)
+    jump_out = np.empty((n_rec, 3), dtype=np.int64)
+    a = _kernel_arg
     ox, oy = tables.offset
-    entries = [(s.x, s.y, depth) for s, depth in skel.entries]
-    out: list[Run] = []
-    for lx0, rx0, y0 in tables.x_cut.runs:
-        gy_base = y0 - oy
-        # Per-run view of the tables: row per skeleton entry, or None when
-        # the probe row falls outside the grid.
-        probe_rows = []
-        for sx, sy, depth in entries:
-            gy = gy_base + sy
-            if 0 <= gy < rows:
-                probe_rows.append((sx - ox, left[gy], right[gy], depth))
-            else:
-                probe_rows.append((sx - ox, None, None, depth))
-        x = lx0
-        counted_upto = lx0 - 1
-        # (index, x) of an entry already verified at the current position by
-        # a jump that landed here; skipped when the entry pass restarts.
-        verified = (-1, lx0 - 1)
-        while x <= rx0:
-            if trace is not None and x > counted_upto:
-                trace.candidates += 1
-                trace.candidate_positions.append((x, y0))
-                counted_upto = x
-            miss = False
-            for idx, (ex, lrow, rrow, depth) in enumerate(probe_rows):
-                if verified == (idx, x):
-                    continue
-                gx = x + ex
-                v = lrow[gx] if lrow is not None and 0 <= gx < cols else 0
-                if trace is not None:
-                    trace.probes += 1
-                diff = depth - v
-                while diff > 0:
-                    miss = True
-                    if trace is not None:
-                        trace.jumps.append((x, y0, diff))
-                    x += diff
-                    if x > rx0:
-                        break
-                    gx = x + ex
-                    v = lrow[gx] if lrow is not None and 0 <= gx < cols else 0
-                    if trace is not None:
-                        trace.probes += 1
-                        if x > counted_upto:
-                            trace.candidates += 1
-                            trace.candidate_positions.append((x, y0))
-                            counted_upto = x
-                    diff = depth - v
-                if miss:
-                    if x <= rx0 and diff <= 0:
-                        verified = (idx, x)
-                    break
-            if not miss:
-                min_dist = None
-                for ex, lrow, rrow, depth in probe_rows:
-                    gx = x + ex
-                    v = rrow[gx] if rrow is not None and 0 <= gx < cols else 0
-                    if min_dist is None or v < min_dist:
-                        min_dist = v
-                out.append(Run(x, x + min_dist - 1, y0))
-                if trace is not None:
-                    trace.hits.append((x, y0, min_dist))
-                x += min_dist + 1
-    return out
+    n = _scan_kernel(a(tables.left), a(tables.right), ox, oy, a(cut), a(entries),
+                     a(out), a(counts), trace is not None, a(cand_out), a(jump_out))
+    runs = out[:n]
+    if trace is not None:
+        n_cand, n_probe, n_jump, _ = counts.tolist()
+        trace.candidates += n_cand
+        trace.probes += n_probe
+        trace.candidate_positions.extend(map(tuple, cand_out[:n_cand].tolist()))
+        trace.jumps.extend(map(tuple, jump_out[:n_jump].tolist()))
+        trace.hits.extend((lx, y, rx - lx + 1) for lx, rx, y in runs.tolist())
+    return runs
 
 
 def erode(x: RleImage, se: RleImage, trace: ErodeTrace | None = None) -> RleImage:
@@ -318,7 +302,8 @@ def erode(x: RleImage, se: RleImage, trace: ErodeTrace | None = None) -> RleImag
     tables = build_tables(x, skel.l_min, skel.l_max)
     runs = _scan(tables, skel, trace)
     q = skel.anchor_q
-    return translate(RleImage(tuple(runs)), Point(-q.x, -q.y))
+    runs -= (q.x, q.x, q.y)
+    return RleImage(tuple(map(Run._make, runs.tolist())))
 
 
 def dilate(x: RleImage, se: RleImage) -> RleImage:

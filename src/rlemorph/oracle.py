@@ -16,8 +16,8 @@ from .rle import (
     bounding_rect,
     from_raster,
     intersect,
+    normalize,
     to_raster,
-    union,
 )
 from .morphology import EmptyStructuringElementError
 
@@ -86,9 +86,10 @@ def erode_runs(x: RleImage, se: RleImage) -> RleImage:
         raise EmptyStructuringElementError("empty structuring element")
     result: RleImage | None = None
     for se_run in se.runs:
-        layer = EMPTY
-        for x_run in x.runs:
-            layer = union(layer, erode_run_by_run(se_run, x_run))
+        # One normalize over all pairwise erosions keeps the union linear.
+        layer = normalize(
+            r for x_run in x.runs for r in erode_run_by_run(se_run, x_run).runs
+        )
         if result is None:
             result = layer
         else:

@@ -119,6 +119,14 @@ class TestCliErodeDilate:
         se.write_text("0 0 0\n")
         assert main(["erode", str(x), str(se), "-o", str(x)]) == 2
 
+    def test_undecodable_input_exit_code(self, tmp_path, capsys):
+        x = tmp_path / "x.rle"
+        se = tmp_path / "se.rle"
+        x.write_bytes(b"0 0 0\n\xff\xfe 1 2\n")
+        se.write_text("0 0 0\n")
+        assert main(["erode", str(x), str(se), "-o", str(tmp_path / "o.rle")]) == 2
+        assert "(line 2)" in capsys.readouterr().err
+
     def test_missing_file_exit_code(self, tmp_path):
         assert main(["erode", str(tmp_path / "no.rle"), str(tmp_path / "no.rle"),
                      "-o", str(tmp_path / "o.rle")]) == 2

@@ -1,9 +1,12 @@
 """Fast-path morphology: skeleton, tables, jump-scan erosion, dilation."""
+import importlib.util
 import random
 
 import numpy as np
 import pytest
 
+from rlemorph import morphology
+from rlemorph.generate import blob_image, diamond_se, random_image, square_se
 from rlemorph.morphology import (
     EmptyStructuringElementError,
     ErodeTrace,
@@ -327,6 +330,45 @@ class TestErodeInstrumented:
             trace = ErodeTrace()
             erode(x, se, trace)
             assert trace.probes <= cut.pixel_count() * len(skel.entries)
+
+
+class TestScanKernel:
+    """The one jump-scan kernel serves both traced and untraced erosion."""
+
+    def test_traced_untraced_and_oracle_agree(self):
+        rng = random.Random(24)
+        for _ in range(200):
+            x = random_rle_image(rng, 40, 40)
+            se = random_se(rng)
+            trace = ErodeTrace()
+            traced = erode(x, se, trace)
+            assert traced == erode(x, se) == erode_naive(x, se)
+            q = generate_skeleton(se).anchor_q
+            assert [(lx + q.x, y + q.y, rx - lx + 1) for lx, rx, y in traced.runs] == trace.hits
+
+    # (candidates, probes, jumps, hits) of the jump scan on fixed cases, as
+    # counted by the former Python-only traced scan.
+    @pytest.mark.parametrize("x, se, counts", [
+        pytest.param(SOLID_5, square_se(3), (5, 14, 2, 3), id="solid5-square3"),
+        pytest.param(blob_image(128, 96, blobs=12, seed=3), diamond_se(7),
+                     (703, 1803, 558, 145), id="blob-diamond7"),
+        pytest.param(blob_image(160, 160, blobs=20, seed=5), square_se(11),
+                     (741, 5710, 419, 322), id="blob-square11"),
+        pytest.param(random_image(48, 40, 0.7, seed=2), square_se(3),
+                     (335, 760, 283, 52), id="random-square3"),
+        pytest.param(blob_image(96, 96, blobs=10, seed=8),
+                     img((0, 4, 0), (2, 2, 3), (-3, -1, 5)),
+                     (595, 1107, 467, 128), id="blob-three-runs"),
+    ])
+    def test_counts_pinned(self, x, se, counts):
+        trace = ErodeTrace()
+        erode(x, se, trace)
+        assert (trace.candidates, trace.probes, len(trace.jumps), len(trace.hits)) == counts
+        assert len(trace.candidate_positions) == trace.candidates
+
+    def test_backend_reported(self):
+        expected = "numba" if importlib.util.find_spec("numba") else "python"
+        assert morphology.BACKEND == expected
 
 
 class TestErodeCheckAt:
