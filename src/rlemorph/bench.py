@@ -3,7 +3,8 @@
 Only the operator call is timed; loading, generation and encoding stay
 outside the timed section.  One warm-up call per case is discarded, then
 the mean over the configured number of iterations is reported.  Failing
-cases get a status note instead of aborting the sweep.
+cases get a status note instead of aborting the sweep.  The rows are
+written as CSV (``rows_to_csv``) or as an aligned table (``rows_to_table``).
 """
 from __future__ import annotations
 
@@ -11,13 +12,13 @@ import csv
 import io
 import re
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
 from . import generate, morphology, oracle
-from .rle import RleImage, bounding_rect, complement_within, reflect, translate, Point
-from .imgio import read_pbm, read_rle_text
+from .imgio import read_image
+from .rle import RleImage
 
 CSV_FIELDS = [
     "algorithm",
@@ -30,14 +31,14 @@ CSV_FIELDS = [
     "status",
 ]
 
-ALGORITHMS = (
-    "fast-erode",
-    "fast-dilate",
-    "naive-erode",
-    "naive-dilate",
-    "runs-erode",
-    "runs-dilate",
-)
+_OPERATORS: dict[str, Callable[[RleImage, RleImage], RleImage]] = {
+    "fast-erode": morphology.erode,
+    "fast-dilate": morphology.dilate,
+    "naive-erode": oracle.erode_naive,
+    "naive-dilate": oracle.dilate_naive,
+    "runs-erode": oracle.erode_runs,
+}
+ALGORITHMS = tuple(_OPERATORS)
 
 
 class BenchConfigError(ValueError):
@@ -67,31 +68,6 @@ class BenchConfig:
                 raise BenchConfigError(f"unknown algorithm {algo!r}")
 
 
-def _dilate_via_runs(x: RleImage, se: RleImage) -> RleImage:
-    """Run-decomposition dilation through the complement construction."""
-    if x.is_empty:
-        return RleImage()
-    sb = bounding_rect(se)
-    v = Point(-(sb.l + sb.r) // 2, -(sb.t + sb.b) // 2)
-    se0 = translate(se, v)
-    rb = bounding_rect(x)
-    rec_dil = rb.grown(sb.width, sb.height)
-    rec_ero = rb.grown(2 * sb.width, 2 * sb.height)
-    out = complement_within(
-        oracle.erode_runs(complement_within(x, rec_ero), reflect(se0)), rec_dil
-    )
-    return translate(out, Point(-v.x, -v.y))
-
-
-_OPERATORS: dict[str, Callable[[RleImage, RleImage], RleImage]] = {
-    "fast-erode": morphology.erode,
-    "fast-dilate": morphology.dilate,
-    "naive-erode": oracle.erode_naive,
-    "naive-dilate": oracle.dilate_naive,
-    "runs-erode": oracle.erode_runs,
-    "runs-dilate": _dilate_via_runs,
-}
-
 _SYNTH_RE = re.compile(
     r"^(random|blobs):(\d+)x(\d+)(?::density=([0-9.]+))?(?::seed=(\d+))?$"
 )
@@ -108,12 +84,7 @@ def load_image_source(source: str) -> RleImage:
         if kind == "random":
             return generate.random_image(w, h, float(density or 0.5), seed)
         return generate.blob_image(w, h, seed=seed)
-    path = Path(source)
-    data = path.read_bytes()
-    if data[:2] in (b"P1", b"P4"):
-        img, _ = read_pbm(data)
-        return img
-    return read_rle_text(data.decode())
+    return read_image(Path(source).read_bytes())[0]
 
 
 def _make_se(config: BenchConfig, size: int) -> RleImage:
@@ -184,3 +155,14 @@ def rows_to_csv(rows: list[dict]) -> str:
     writer.writeheader()
     writer.writerows(rows)
     return buf.getvalue()
+
+
+def rows_to_table(rows: list[dict]) -> str:
+    lines = [f"{'algorithm':<10} {'op':<7} {'size':>5} {'mean_ms':>10} "
+             f"{'runs':>8} {'pixels':>10}  status"]
+    for r in rows:
+        ms = f"{r['mean_ms']:.3f}" if r["mean_ms"] != "" else "-"
+        lines.append(f"{r['algorithm']:<10} {r['op']:<7} {r['se_size']:>5} "
+                     f"{ms:>10} {str(r['runs_out']):>8} "
+                     f"{str(r['pixels_out']):>10}  {r['status']}")
+    return "".join(line + "\n" for line in lines)

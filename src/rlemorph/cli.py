@@ -11,14 +11,13 @@ from pathlib import Path
 import click
 
 from . import generate, morphology
-from .bench import BenchConfig, BenchConfigError, CSV_FIELDS, rows_to_csv, run_bench
+from .bench import BenchConfig, BenchConfigError, rows_to_csv, rows_to_table, run_bench
 from .imgio import (
     ImageFileMeta,
     PbmParseError,
     PbmWriteError,
     RleTextParseError,
-    read_pbm,
-    read_rle_text,
+    read_image,
     write_pbm,
     write_rle_text,
 )
@@ -28,15 +27,7 @@ FORMATS = ("pbm1", "pbm4", "rle")
 
 
 def _load(path: str) -> tuple[RleImage, ImageFileMeta | None]:
-    data = Path(path).read_bytes()
-    if data[:2] in (b"P1", b"P4"):
-        return read_pbm(data)
-    try:
-        text = data.decode()
-    except UnicodeDecodeError as exc:
-        raise RleTextParseError(f"input is not valid UTF-8 RLE text: {exc.reason}",
-                                data.count(b"\n", 0, exc.start) + 1) from exc
-    return read_rle_text(text), None
+    return read_image(Path(path).read_bytes())
 
 
 def _guess_format(path: str, explicit: str | None) -> str:
@@ -171,7 +162,8 @@ def cmd_bench(
     iterations: int,
     csv_path: str,
 ) -> None:
-    """Time operator calls over a structuring-element size sweep."""
+    """Time operator calls over a structuring-element size sweep; write the
+    rows to the CSV file and print them as a table."""
     try:
         sizes = tuple(int(s) for s in se_sizes.split(",") if s.strip())
     except ValueError:
@@ -187,6 +179,7 @@ def cmd_bench(
     rows = run_bench(config)
     Path(csv_path).write_text(rows_to_csv(rows))
     click.echo(f"wrote {len(rows)} rows to {csv_path}", err=True)
+    click.echo(rows_to_table(rows), nl=False)
 
 
 @cli.command("convert")

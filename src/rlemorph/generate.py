@@ -54,7 +54,6 @@ def blob_image(
         raise ValueError("bad blob parameters")
     rng = np.random.default_rng(seed)
     grid = np.zeros((height, width), dtype=bool)
-    ys, xs = np.ogrid[:height, :width]
     for _ in range(blobs):
         cx = int(rng.integers(0, width))
         cy = int(rng.integers(0, height))
@@ -65,5 +64,8 @@ def blob_image(
             grid[max(0, cy - h2) : cy + h2 + 1, max(0, cx - w2) : cx + w2 + 1] = True
         else:
             r = s // 2
-            grid |= (xs - cx) ** 2 + (ys - cy) ** 2 <= r * r
+            y0, y1 = max(0, cy - r), min(height, cy + r + 1)
+            x0, x1 = max(0, cx - r), min(width, cx + r + 1)
+            ys, xs = np.ogrid[y0:y1, x0:x1]
+            grid[y0:y1, x0:x1] |= (xs - cx) ** 2 + (ys - cy) ** 2 <= r * r
     return from_raster(grid, Point(0, 0))

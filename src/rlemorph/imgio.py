@@ -3,9 +3,12 @@ run-length interchange format.  Both round-trip RLE images exactly.
 
 PBM foreground is black (bit 1).  P4 packs bits MSB-first, rows padded to
 byte boundaries.  The text format is one run per line, "y lx rx", sorted.
+``read_image`` tells the two formats apart; every file reader goes
+through it.
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +40,12 @@ class RleTextParseError(ValueError):
 
 
 _WS = b" \t\r\n\x0b\x0c"
+_COMMENT = re.compile(rb"#[^\n]*")
+# Byte classes in a P1 payload: 0 invalid, 1 whitespace, 2 digit 0, 3 digit 1.
+_P1_KIND = np.zeros(256, dtype=np.uint8)
+_P1_KIND[list(_WS)] = 1
+_P1_KIND[ord("0")] = 2
+_P1_KIND[ord("1")] = 3
 
 
 def _skip_ws_and_comments(data: bytes, pos: int) -> int:
@@ -62,29 +71,36 @@ def _read_uint(data: bytes, pos: int, what: str) -> tuple[int, int]:
     return int(data[start:pos]), pos
 
 
+def _p1_bits(data: bytes, pos: int, width: int, height: int) -> np.ndarray:
+    """The (height, width) bit grid of a P1 payload starting at pos.
+
+    Comments become whitespace; the first width*height digits are the
+    pixels, and any other byte is an error only before the last of them.
+    """
+    payload = _COMMENT.sub(lambda m: b" " * len(m[0]), data[pos:])
+    kind = _P1_KIND[np.frombuffer(payload, dtype=np.uint8)]
+    digits = np.flatnonzero(kind >= 2)
+    need = width * height
+    end = digits[need - 1] + 1 if len(digits) >= need else len(kind)
+    bad = np.flatnonzero(kind[:end] == 0)
+    if bad.size:
+        at = pos + int(bad[0])
+        raise PbmParseError(f"unexpected byte {data[at : at + 1]!r} in P1 payload", at)
+    if len(digits) < need:
+        raise PbmParseError("truncated P1 payload", len(data))
+    return (kind[digits[:need]] == 3).reshape(height, width)
+
+
 def read_pbm(data: bytes) -> tuple[RleImage, ImageFileMeta]:
     if data[:2] not in (b"P1", b"P4"):
         raise PbmParseError(f"bad magic {data[:2]!r}", 0)
-    variant = data[:2].decode()
     pos = 2
     width, pos = _read_uint(data, pos, "width")
     height, pos = _read_uint(data, pos, "height")
     if width < 1 or height < 1:
         raise PbmParseError(f"bad dimensions {width}x{height}", pos)
-    runs = []
-    if variant == "P1":
-        count = 0
-        while count < width * height:
-            pos = _skip_ws_and_comments(data, pos)
-            if pos >= len(data):
-                raise PbmParseError("truncated P1 payload", pos)
-            c = data[pos : pos + 1]
-            if c not in (b"0", b"1"):
-                raise PbmParseError(f"unexpected byte {c!r} in P1 payload", pos)
-            if c == b"1":
-                runs.append((count % width, count % width, count // width))
-            count += 1
-            pos += 1
+    if data[:2] == b"P1":
+        bits = _p1_bits(data, pos, width, height)
     else:
         if pos >= len(data):
             raise PbmParseError("truncated P4 header", pos)
@@ -95,8 +111,7 @@ def read_pbm(data: bytes) -> tuple[RleImage, ImageFileMeta]:
             raise PbmParseError("truncated P4 payload", len(data))
         raw = np.frombuffer(data[pos : pos + need], dtype=np.uint8)
         bits = np.unpackbits(raw.reshape(height, row_bytes), axis=1)[:, :width]
-        return from_raster(bits.astype(bool)), ImageFileMeta(width, height)
-    return normalize(runs), ImageFileMeta(width, height)
+    return from_raster(bits), ImageFileMeta(width, height)
 
 
 def write_pbm(img: RleImage, meta: ImageFileMeta, variant: str = "P1") -> bytes:
@@ -140,6 +155,19 @@ def read_rle_text(text: str) -> RleImage:
     if not runs:
         return EMPTY
     return normalize(runs)
+
+
+def read_image(data: bytes) -> tuple[RleImage, ImageFileMeta | None]:
+    """Decode file bytes of either format: PBM by its P1/P4 magic, else
+    UTF-8 RLE text, which has no canvas and so no meta."""
+    if data[:2] in (b"P1", b"P4"):
+        return read_pbm(data)
+    try:
+        text = data.decode()
+    except UnicodeDecodeError as exc:
+        raise RleTextParseError(f"input is not valid UTF-8 RLE text: {exc.reason}",
+                                data.count(b"\n", 0, exc.start) + 1) from exc
+    return read_rle_text(text), None
 
 
 def write_rle_text(img: RleImage) -> str:

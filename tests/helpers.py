@@ -5,7 +5,14 @@ import random
 
 import numpy as np
 
-from rlemorph.rle import Point, RleImage, from_raster
+from rlemorph.rle import Point, RleImage, Run, from_raster
+
+
+A = RleImage((Run(-1, 0, 0),))  # {(-1,0), (0,0)}
+
+
+def img(*runs):
+    return RleImage(tuple(Run(*r) for r in runs))
 
 
 def random_rle_image(

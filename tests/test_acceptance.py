@@ -54,8 +54,6 @@ from rlemorph.oracle import (
 )
 from rlemorph.rle import (
     Point,
-    RleImage,
-    Run,
     bounding_rect,
     complement_within,
     drop_short_runs,
@@ -63,13 +61,7 @@ from rlemorph.rle import (
     translate,
 )
 
-from helpers import random_rle_image, random_se
-
-A = RleImage((Run(-1, 0, 0),))
-
-
-def img(*runs):
-    return RleImage(tuple(Run(*r) for r in runs))
+from helpers import A, img, random_rle_image, random_se
 
 
 def _corpus(seed, count):

@@ -1,8 +1,11 @@
-"""Command-line front end and benchmark harness."""
+"""Command-line front end, benchmark harness, generators and scripts."""
 import csv
+import importlib.util
 import io
 import random
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from rlemorph.bench import (
@@ -16,13 +19,28 @@ from rlemorph.bench import (
 from rlemorph.cli import main
 from rlemorph.generate import blob_image, diamond_se, random_image, square_se
 from rlemorph.imgio import read_rle_text, write_rle_text
-from rlemorph.rle import EMPTY, RleImage, Run, reflect, validate
+from rlemorph.rle import EMPTY, Point, from_raster, reflect, validate
 
-from helpers import random_rle_image
+from helpers import img, random_rle_image
 
 
-def img(*runs):
-    return RleImage(tuple(Run(*r) for r in runs))
+def blob_image_full_grid(width, height, blobs=40, min_size=8, max_size=64, seed=0):
+    """Reference for blob_image: the same draws, each disc tested over the whole grid."""
+    rng = np.random.default_rng(seed)
+    grid = np.zeros((height, width), dtype=bool)
+    ys, xs = np.ogrid[:height, :width]
+    for _ in range(blobs):
+        cx = int(rng.integers(0, width))
+        cy = int(rng.integers(0, height))
+        s = int(rng.integers(min_size, max_size + 1))
+        if rng.random() < 0.5:
+            w2 = s // 2
+            h2 = max(1, int(rng.integers(min_size, max_size + 1)) // 2)
+            grid[max(0, cy - h2) : cy + h2 + 1, max(0, cx - w2) : cx + w2 + 1] = True
+        else:
+            r = s // 2
+            grid |= (xs - cx) ** 2 + (ys - cy) ** 2 <= r * r
+    return from_raster(grid, Point(0, 0))
 
 
 class TestGenerators:
@@ -59,6 +77,14 @@ class TestGenerators:
         b = blob_image(64, 64, seed=0)
         validate(b)
         assert not b.is_empty
+
+    @pytest.mark.parametrize("width,height", [(40, 30), (7, 300), (300, 7), (1, 1), (97, 64)])
+    def test_blob_discs_match_full_grid(self, width, height):
+        for seed in range(5):
+            assert blob_image(width, height, seed=seed) == blob_image_full_grid(
+                width, height, seed=seed)
+            assert blob_image(width, height, 60, 1, 25, seed) == blob_image_full_grid(
+                width, height, 60, 1, 25, seed)
 
 
 class TestCliErodeDilate:
@@ -235,7 +261,7 @@ class TestBench:
             image_source=str(src),
             se_sizes=(3, 5),
             algorithms=("fast-erode", "naive-erode", "runs-erode",
-                        "fast-dilate", "naive-dilate", "runs-dilate"),
+                        "fast-dilate", "naive-dilate"),
         )
         rows = run_bench(config)
         assert all(r["status"] == "ok" for r in rows)
@@ -280,8 +306,59 @@ class TestBench:
         assert len(rows) == 4
         assert all(r["status"] == "ok" for r in rows)
 
+    def test_cli_bench_prints_one_table_line_per_row(self, tmp_path, capsys):
+        out = tmp_path / "bench.csv"
+        code = main(["bench", "--image", "random:16x16:density=0.4:seed=1",
+                     "--se-sizes", "3,5,7", "--algos", "fast-erode,naive-erode",
+                     "--iterations", "1", "--csv", str(out)])
+        assert code == 0
+        rows = list(csv.DictReader(io.StringIO(out.read_text())))
+        header, *lines = capsys.readouterr().out.splitlines()
+        assert header.split() == ["algorithm", "op", "size", "mean_ms", "runs",
+                                  "pixels", "status"]
+        assert len(lines) == len(rows) == 6
+        for line, row in zip(lines, rows):
+            fields = line.split()
+            assert fields[:3] == [row["algorithm"], row["op"], row["se_size"]]
+            assert fields[4:] == [row["runs_out"], row["pixels_out"], row["status"]]
+
+    def test_cli_bench_se_file(self, tmp_path):
+        se = tmp_path / "se.rle"
+        se.write_text("0 -1 1\n1 0 0\n")
+        out = tmp_path / "bench.csv"
+        code = main(["bench", "--image", "random:24x24:density=0.6:seed=2",
+                     "--se-shape", "file", "--se-path", str(se), "--se-sizes", "3",
+                     "--algos", "fast-erode,naive-erode,fast-dilate,naive-dilate",
+                     "--iterations", "1", "--csv", str(out)])
+        assert code == 0
+        rows = list(csv.DictReader(io.StringIO(out.read_text())))
+        assert len(rows) == 4 and all(r["status"] == "ok" for r in rows)
+        for op in ("erode", "dilate"):
+            assert len({(r["runs_out"], r["pixels_out"]) for r in rows
+                        if r["op"] == op}) == 1
+
+    def test_cli_bench_undecodable_image_exit_code(self, tmp_path, capsys):
+        x = tmp_path / "x.rle"
+        x.write_bytes(b"0 0 0\n\xff\xfe 1 2\n")
+        out = tmp_path / "b.csv"
+        assert main(["bench", "--image", str(x), "--csv", str(out)]) == 2
+        assert "(line 2)" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_cli_bench_empty_sizes(self, tmp_path):
         code = main(["bench", "--image", "random:8x8:seed=1", "--se-sizes", "",
                      "--csv", str(tmp_path / "b.csv")])
         assert code == 1
         assert not (tmp_path / "b.csv").exists()
+
+
+class TestScripts:
+    def test_trace_demo(self, capsys):
+        path = Path(__file__).resolve().parents[1] / "scripts" / "trace_demo.py"
+        spec = importlib.util.spec_from_file_location("trace_demo", path)
+        trace_demo = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(trace_demo)
+        assert trace_demo.main(["--width", "12", "--height", "6", "--seed", "3"]) == 0
+        out = capsys.readouterr().out
+        for label in ("candidates examined", "jump-on-miss events", "jump-on-hit events"):
+            assert label in out

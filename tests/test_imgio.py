@@ -13,13 +13,9 @@ from rlemorph.imgio import (
     write_pbm,
     write_rle_text,
 )
-from rlemorph.rle import EMPTY, Point, RleImage, Run
+from rlemorph.rle import EMPTY, Point
 
-from helpers import random_rle_image
-
-
-def img(*runs):
-    return RleImage(tuple(Run(*r) for r in runs))
+from helpers import img, random_rle_image
 
 
 class TestReadPbm:

@@ -37,14 +37,7 @@ from rlemorph.rle import (
     validate,
 )
 
-from helpers import random_rle_image, random_se
-
-A = RleImage((Run(-1, 0, 0),))
-
-
-def img(*runs):
-    return RleImage(tuple(Run(*r) for r in runs))
-
+from helpers import A, img, random_rle_image, random_se
 
 SOLID_5 = img(*[(0, 4, y) for y in range(5)])
 SQUARE_3_CENTERED = img((-1, 1, -1), (-1, 1, 0), (-1, 1, 1))

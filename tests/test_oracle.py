@@ -14,16 +14,11 @@ from rlemorph.oracle import (
     skeleton_naive,
 )
 from rlemorph.morphology import EmptyStructuringElementError, JUMP_SET
-from rlemorph.rle import EMPTY, Point, RleImage, Run, normalize, reflect
+from rlemorph.rle import EMPTY, Point, Run, normalize, reflect
 
-from helpers import random_rle_image, random_se
+from helpers import A, img, random_rle_image, random_se
 
-A = RleImage((Run(-1, 0, 0),))  # {(-1,0), (0,0)}
 A_T = reflect(A)
-
-
-def img(*runs):
-    return RleImage(tuple(Run(*r) for r in runs))
 
 
 SOLID_5 = img(*[(0, 4, y) for y in range(5)])

@@ -11,7 +11,6 @@ from rlemorph.rle import (
     EMPTY,
     Point,
     Rect,
-    RleImage,
     Run,
     bounding_rect,
     complement_within,
@@ -26,10 +25,7 @@ from rlemorph.rle import (
     validate,
 )
 
-
-def img(*runs):
-    return RleImage(tuple(Run(*r) for r in runs))
-
+from helpers import img
 
 grids = hnp.arrays(
     dtype=bool,
