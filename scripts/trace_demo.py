@@ -2,8 +2,9 @@
 """Show the pixel-skipping behaviour of the jump scan on a small example.
 
 Erodes a random image with a square element while collecting the
-instrumentation trace, then prints how many candidate positions were
-actually probed versus the total pixel count, plus the jump/hit events.
+instrumentation trace, then prints the size of the run-indexed distance
+tables, how many candidate positions were actually probed versus the total
+pixel count, and the jump/hit events.
 
 Usage:
     python3 scripts/trace_demo.py [--width 32] [--height 32]
@@ -13,7 +14,7 @@ import argparse
 import sys
 
 from rlemorph.generate import random_image, square_se
-from rlemorph.morphology import ErodeTrace, erode, generate_skeleton
+from rlemorph.morphology import ErodeTrace, build_tables, erode, generate_skeleton
 
 
 def main(argv=None) -> int:
@@ -29,6 +30,7 @@ def main(argv=None) -> int:
     se = square_se(args.se_size)
     skel = generate_skeleton(se)
 
+    tables = build_tables(image, skel.l_min, skel.l_max)
     trace = ErodeTrace()
     result = erode(image, se, trace)
 
@@ -38,6 +40,9 @@ def main(argv=None) -> int:
           f"{len(skel.entries)} skeleton entries, "
           f"l_min={skel.l_min}, l_max={skel.l_max}")
     print(f"output: {result.pixel_count()} pixels in {len(result.runs)} runs")
+    print(f"tables: {len(tables.left)} kept runs, left {tables.left.nbytes} B, "
+          f"right {tables.right.nbytes} B, row_ptr {tables.row_ptr.nbytes} B, "
+          f"{len(tables.x_cut.runs)} x_cut runs")
     print()
     print(f"candidates examined : {trace.candidates:>6} "
           f"({trace.candidates / max(total, 1):.0%} of input pixels)")

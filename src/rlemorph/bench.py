@@ -63,6 +63,9 @@ class BenchConfig:
             raise BenchConfigError(f"unknown se_shape {self.se_shape!r}")
         if self.se_shape == "file" and not self.se_path:
             raise BenchConfigError("se_shape 'file' requires se_path")
+        if self.se_shape == "file" and len(self.se_sizes) > 1:
+            # The element comes whole from se_path; each size would time it again.
+            raise BenchConfigError("se_shape 'file' takes a single se_sizes entry")
         for algo in self.algorithms:
             if algo not in ALGORITHMS:
                 raise BenchConfigError(f"unknown algorithm {algo!r}")

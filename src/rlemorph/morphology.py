@@ -3,11 +3,14 @@
 Erosion anchors the structuring element at the rightmost pixel of its
 longest run, reduces it to a skeleton (one entry per run: the rightmost
 pixel plus the run length), and scans only the trimmed input ``x_cut``
-using left/right distance tables.  A failed probe with deficit k lets the
-scan jump k candidates to the right (jump on miss); a successful probe
-yields the full eroded run from the minimum right distance over the
-skeleton (jump on hit).  Dilation is erosion of the complement with the
-reflected element, restricted to finite rectangles.
+using left/right distance tables.  The tables are indexed by run, not by
+pixel: inside a run the distances to its two ends follow from the run's
+``lx`` and ``rx``, so the tables store those ends, row by row, and cost
+O(runs + rows) whatever the width of the image.  A failed probe with
+deficit k lets the scan jump k candidates to the right (jump on miss); a
+successful probe yields the full eroded run from the minimum right
+distance over the skeleton (jump on hit).  Dilation is erosion of the
+complement with the reflected element, restricted to finite rectangles.
 
 One kernel, ``_scan_kernel``, does the scan for traced and untraced
 erosion alike: it always counts candidates, probes, jumps and hits, and
@@ -19,13 +22,13 @@ memoryviews of the arrays, which read as Python ints
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
 from .rle import (
     EMPTY,
     Point,
-    Rect,
     RleImage,
     Run,
     bounding_rect,
@@ -72,17 +75,31 @@ class SkeletonTable:
 
 @dataclass(frozen=True)
 class ErosionTables:
-    """Left/right distance grids over the input's bounding box (1-cell zero
-    margin) plus the trimmed image x_cut.
+    """Run-indexed left/right distance tables plus the trimmed image x_cut.
 
-    Grid cell [gy, gx] holds the value at image point
-    (offset.x + gx, offset.y + gy).  Probes outside the grid read as 0.
+    left and right hold lx and rx of every input run at least l_min long,
+    in (y, lx) order.  The kept runs of row y are left[i] and right[i] for
+    row_ptr[y - top] <= i < row_ptr[y - top + 1]; row_ptr has one entry per
+    row of the input's bounding box plus one.  For the kept run that covers
+    pixel x, the left distance is x - lx + 1 and the right distance
+    rx - x + 1; both are 0 where no kept run covers x.
     """
 
     left: np.ndarray
     right: np.ndarray
-    offset: Point
+    row_ptr: np.ndarray
+    top: int
     x_cut: RleImage
+
+    def distances(self, x: int, y: int) -> tuple[int, int]:
+        """(left, right) distance at pixel (x, y)."""
+        r = y - self.top
+        if 0 <= r < len(self.row_ptr) - 1:
+            lo, hi = self.row_ptr[r], self.row_ptr[r + 1]
+            k = lo + int(np.searchsorted(self.right[lo:hi], x))
+            if k < hi and self.left[k] <= x:
+                return x - int(self.left[k]) + 1, int(self.right[k]) - x + 1
+        return 0, 0
 
 
 @dataclass
@@ -121,55 +138,70 @@ def generate_skeleton(se: RleImage) -> SkeletonTable:
     return SkeletonTable(tuple(entries), l_min, l_max, q)
 
 
+def _runs_array(x: RleImage) -> np.ndarray:
+    """The runs of x as an (n, 3) int64 array of (lx, rx, y) rows.
+
+    Raises ValueError unless the runs are in compact form: lx <= rx, sorted
+    by (y, lx), and neither overlapping nor touching within a row.
+    """
+    n = len(x.runs)
+    a = np.fromiter(chain.from_iterable(x.runs), dtype=np.int64, count=3 * n).reshape(n, 3)
+    lx, rx, y = a.T
+    bad = np.flatnonzero(lx > rx)
+    if bad.size:
+        raise ValueError(f"malformed run {x.runs[bad[0]]}: lx > rx")
+    same_row = y[1:] == y[:-1]
+    unsorted = (y[1:] < y[:-1]) | (same_row & (lx[1:] <= lx[:-1]))
+    touching = same_row & (lx[1:] <= rx[:-1] + 1)
+    bad = np.flatnonzero(unsorted | touching)
+    if bad.size:
+        i = bad[0]
+        prev, run = x.runs[i], x.runs[i + 1]
+        if unsorted[i]:
+            raise ValueError(f"runs out of order: {prev} then {run}")
+        raise ValueError(f"runs overlap or touch: {prev} and {run}")
+    return a
+
+
 def build_tables(x: RleImage, l_min: int, l_max: int) -> ErosionTables:
-    """Fill the left/right distance grids and trim the input.
+    """Index the input's runs by row and trim the input.
 
     Runs shorter than l_min cannot contain any part of a hit and are left
-    zero in the tables; runs shorter than l_max vanish from x_cut, the
+    out of the tables; runs shorter than l_max vanish from x_cut, the
     survivors lose their first l_max - 1 pixels.
     """
     if not (1 <= l_min <= l_max):
         raise ValueError(f"need 1 <= l_min <= l_max, got {l_min}, {l_max}")
-    rect = bounding_rect(x)
-    if rect is None:
-        z = np.zeros((0, 0), dtype=np.int32)
-        return ErosionTables(z, z, Point(0, 0), EMPTY)
-    h, w = rect.height + 2, rect.width + 2
-    offset = Point(rect.l - 1, rect.t - 1)
-    left = np.zeros((h, w), dtype=np.int32)
-    right = np.zeros((h, w), dtype=np.int32)
-    cut: list[Run] = []
-    for run in x.runs:
-        n = run.length
-        if n < l_min:
-            continue
-        gy = run.y - offset.y
-        gx = run.lx - offset.x
-        left[gy, gx : gx + n] = np.arange(1, n + 1, dtype=np.int32)
-        right[gy, gx : gx + n] = np.arange(n, 0, -1, dtype=np.int32)
-        if n >= l_max:
-            cut.append(Run(run.lx + l_max - 1, run.rx, run.y))
-    return ErosionTables(left, right, offset, RleImage(tuple(cut)))
+    runs = _runs_array(x)
+    lengths = runs[:, 1] - runs[:, 0] + 1
+    kept = runs[lengths >= l_min]
+    top, bottom = (int(runs[0, 2]), int(runs[-1, 2])) if len(runs) else (0, -1)
+    row_ptr = np.searchsorted(kept[:, 2], np.arange(top, bottom + 2))
+    cut = runs[lengths >= l_max]
+    cut[:, 0] += l_max - 1
+    x_cut = RleImage(tuple(map(Run._make, cut.tolist())))
+    return ErosionTables(kept[:, 0].copy(), kept[:, 1].copy(), row_ptr, top, x_cut)
 
 
 def erode_check_at(tables: ErosionTables, skel: SkeletonTable, h: Point) -> bool:
     """True iff the anchored element fits at h, checked via skeleton probes
-    against the left table.  Out-of-grid probes read as 0."""
-    left = tables.left
-    rows, cols = left.shape
-    ox, oy = tables.offset
+    against the left distances.  Probes off every kept run read as 0."""
     for (sx, sy), depth in skel.entries:
-        gx = h.x + sx - ox
-        gy = h.y + sy - oy
-        v = int(left[gy, gx]) if 0 <= gy < rows and 0 <= gx < cols else 0
-        if depth > v:
+        if tables.distances(h.x + sx, h.y + sy)[0] < depth:
             return False
     return True
 
 
-def _scan_kernel(left, right, ox, oy, cut, entries, out, counts, record,
-                 cand_out, jump_out):
+def _scan_kernel(left, right, row_ptr, top, cut, entries, cur, end, cur_y, out,
+                 counts, record, cand_out, jump_out):
     """Jump scan of x_cut; returns the number of runs written to out.
+
+    Each skeleton entry keeps a cursor into the kept runs of the row it
+    probes: cur is the first run whose rx is at or right of the probe, end
+    the end of that row's runs, cur_y the x_cut row the cursor was set for.
+    Within an x_cut row the probes of one entry only move right, so its
+    cursor only moves forward; it is reset the first time the entry probes
+    for a new row.  cur_y must start at a value no x_cut row has.
 
     out receives the eroded runs as (lx, rx, y) rows in the anchored frame,
     counts receives [candidates, probes, jumps, hits].  When record is set,
@@ -180,13 +212,12 @@ def _scan_kernel(left, right, ox, oy, cut, entries, out, counts, record,
     n_cand = 0
     n_probe = 0
     n_jump = 0
-    rows, cols = left.shape
+    n_rows = row_ptr.shape[0] - 1
     n_entries = entries.shape[0]
     for ri in range(cut.shape[0]):
         lx0 = cut[ri, 0]
         rx0 = cut[ri, 1]
         y0 = cut[ri, 2]
-        gy_base = y0 - oy
         x = lx0
         # (index, x) of an entry already verified at x by a jump that landed
         # there; skipped when the entry pass restarts.
@@ -207,12 +238,23 @@ def _scan_kernel(left, right, ox, oy, cut, entries, out, counts, record,
             for idx in range(n_entries):
                 if idx == ver_idx and x == ver_x:
                     continue
+                if cur_y[idx] != y0:
+                    cur_y[idx] = y0
+                    r = y0 + entries[idx, 1] - top
+                    if 0 <= r < n_rows:
+                        cur[idx] = row_ptr[r]
+                        end[idx] = row_ptr[r + 1]
+                    else:
+                        cur[idx] = 0
+                        end[idx] = 0
+                c = cur[idx]
+                e = end[idx]
                 sx = entries[idx, 0]
                 depth = entries[idx, 2]
-                gy = gy_base + entries[idx, 1]
-                row_in = 0 <= gy < rows
-                gx = x + sx - ox
-                v = left[gy, gx] if row_in and 0 <= gx < cols else 0
+                px = x + sx
+                while c < e and right[c] < px:
+                    c += 1
+                v = px - left[c] + 1 if c < e and left[c] <= px else 0
                 n_probe += 1
                 diff = depth - v
                 while diff > 0:
@@ -225,14 +267,17 @@ def _scan_kernel(left, right, ox, oy, cut, entries, out, counts, record,
                     x += diff
                     if x > rx0:
                         break
-                    gx = x + sx - ox
-                    v = left[gy, gx] if row_in and 0 <= gx < cols else 0
+                    px = x + sx
+                    while c < e and right[c] < px:
+                        c += 1
+                    v = px - left[c] + 1 if c < e and left[c] <= px else 0
                     n_probe += 1
                     if record:
                         cand_out[n_cand, 0] = x
                         cand_out[n_cand, 1] = y0
                     n_cand += 1
                     diff = depth - v
+                cur[idx] = c
                 if miss:
                     break
             if miss:
@@ -241,11 +286,10 @@ def _scan_kernel(left, right, ox, oy, cut, entries, out, counts, record,
                     ver_idx = idx
                     ver_x = x
             else:
+                # Every entry's cursor now sits on the run that covers its probe.
                 min_dist = 1 << 60
                 for j in range(n_entries):
-                    gy = gy_base + entries[j, 1]
-                    gx = x + entries[j, 0] - ox
-                    v = right[gy, gx] if 0 <= gy < rows and 0 <= gx < cols else 0
+                    v = right[cur[j]] - x - entries[j, 0] + 1
                     if v < min_dist:
                         min_dist = v
                 out[n_out, 0] = x
@@ -273,18 +317,24 @@ else:
 def _scan(tables: ErosionTables, skel: SkeletonTable, trace: ErodeTrace | None) -> np.ndarray:
     """Jump scan of x_cut.  Returns the eroded runs in the anchored frame as
     (lx, rx, y) rows and adds the scan's counts and events to trace."""
-    n_px = tables.x_cut.pixel_count()
-    n_rec = n_px if trace is not None else 0
-    cut = np.array(tables.x_cut.runs, dtype=np.int64).reshape(-1, 3)
+    cut = _runs_array(tables.x_cut)
     entries = np.array([(s.x, s.y, depth) for s, depth in skel.entries], dtype=np.int64)
-    out = np.empty((n_px, 3), dtype=np.int64)
+    n_entries = len(entries)
+    n_px = int((cut[:, 1] - cut[:, 0] + 1).sum())
+    n_rec = n_px if trace is not None else 0
+    # Each output run ends where some entry's probed run ends, and one
+    # (entry, kept run) pair ends at most one output run.
+    out = np.empty((min(n_px, n_entries * len(tables.left)), 3), dtype=np.int64)
     counts = np.zeros(4, dtype=np.int64)
+    cur = np.zeros(n_entries, dtype=np.int64)
+    end = np.zeros(n_entries, dtype=np.int64)
+    cur_y = np.full(n_entries, cut[0, 2] - 1 if len(cut) else 0, dtype=np.int64)
     cand_out = np.empty((n_rec, 2), dtype=np.int64)
     jump_out = np.empty((n_rec, 3), dtype=np.int64)
     a = _kernel_arg
-    ox, oy = tables.offset
-    n = _scan_kernel(a(tables.left), a(tables.right), ox, oy, a(cut), a(entries),
-                     a(out), a(counts), trace is not None, a(cand_out), a(jump_out))
+    n = _scan_kernel(a(tables.left), a(tables.right), a(tables.row_ptr), tables.top,
+                     a(cut), a(entries), a(cur), a(end), a(cur_y), a(out), a(counts),
+                     trace is not None, a(cand_out), a(jump_out))
     runs = out[:n]
     if trace is not None:
         n_cand, n_probe, n_jump, _ = counts.tolist()
@@ -313,6 +363,7 @@ def dilate(x: RleImage, se: RleImage) -> RleImage:
         raise EmptyStructuringElementError("empty structuring element")
     if x.is_empty:
         return EMPTY
+    _runs_array(x)
     sb = bounding_rect(se)
     # Shift the element so its box straddles the origin; dilation commutes
     # with SE translation, and the rectangle bounds below assume it.

@@ -118,13 +118,11 @@ def test_criterion_3c_table_recurrences():
         x = random_rle_image(rng, 32, 32)
         t = build_tables(x, 1, 1)
         for run in x.runs:
-            row = run.y - t.offset.y
-            for i, px in enumerate(range(run.lx, run.rx + 1)):
-                col = px - t.offset.x
+            for px in range(run.lx, run.rx + 1):
                 if px > run.lx:
-                    assert t.left[row, col] == t.left[row, col - 1] + 1
+                    assert t.distances(px, run.y)[0] == t.distances(px - 1, run.y)[0] + 1
                 if px < run.rx:
-                    assert t.right[row, col] == t.right[row, col + 1] + 1
+                    assert t.distances(px, run.y)[1] == t.distances(px + 1, run.y)[1] + 1
     print("\nACCEPTANCE 3c left/right table recurrences: PASS")
 
 

@@ -3,6 +3,7 @@ import csv
 import importlib.util
 import io
 import random
+import re
 from pathlib import Path
 
 import numpy as np
@@ -337,6 +338,17 @@ class TestBench:
             assert len({(r["runs_out"], r["pixels_out"]) for r in rows
                         if r["op"] == op}) == 1
 
+    def test_cli_bench_se_file_takes_one_size(self, tmp_path, capsys):
+        se = tmp_path / "se.rle"
+        se.write_text("0 -1 1\n1 0 0\n")
+        out = tmp_path / "bench.csv"
+        code = main(["bench", "--image", "random:24x24:density=0.6:seed=2",
+                     "--se-shape", "file", "--se-path", str(se), "--se-sizes", "3,5,7",
+                     "--csv", str(out)])
+        assert code == 1
+        assert "single se_sizes entry" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_cli_bench_undecodable_image_exit_code(self, tmp_path, capsys):
         x = tmp_path / "x.rle"
         x.write_bytes(b"0 0 0\n\xff\xfe 1 2\n")
@@ -362,3 +374,5 @@ class TestScripts:
         out = capsys.readouterr().out
         for label in ("candidates examined", "jump-on-miss events", "jump-on-hit events"):
             assert label in out
+        assert re.search(r"^tables: \d+ kept runs, left \d+ B, right \d+ B, "
+                         r"row_ptr \d+ B, \d+ x_cut runs$", out, re.M)

@@ -1,6 +1,7 @@
 """Fast-path morphology: skeleton, tables, jump-scan erosion, dilation."""
 import importlib.util
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -106,16 +107,12 @@ class TestGenerateSkeleton:
 class TestBuildTables:
     def test_single_run(self):
         t = build_tables(img((2, 5, 7)), 1, 1)
-        row = 7 - t.offset.y
-        col = 2 - t.offset.x
-        assert t.left[row, col : col + 4].tolist() == [1, 2, 3, 4]
-        assert t.right[row, col : col + 4].tolist() == [4, 3, 2, 1]
+        assert [t.distances(px, 7) for px in range(2, 6)] == [(1, 4), (2, 3), (3, 2), (4, 1)]
         assert t.x_cut == img((2, 5, 7))
 
     def test_short_run_zeroed_and_cut(self):
         t = build_tables(img((0, 9, 0), (0, 1, 1)), 3, 3)
-        row1 = 1 - t.offset.y
-        assert not t.left[row1].any() and not t.right[row1].any()
+        assert all(t.distances(px, 1) == (0, 0) for px in range(-1, 11))
         assert t.x_cut == img((2, 9, 0))
 
     def test_empty_image(self):
@@ -123,9 +120,10 @@ class TestBuildTables:
         assert t.left.size == 0 and t.right.size == 0 and t.x_cut == EMPTY
 
     def test_zero_margin(self):
+        # one pixel outside the box (0..3, 0..0) on every side
         t = build_tables(img((0, 3, 0)), 1, 1)
-        assert not t.left[0].any() and not t.left[-1].any()
-        assert not t.left[:, 0].any() and not t.left[:, -1].any()
+        assert all(t.distances(px, py) == (0, 0) for px in range(-1, 5) for py in (-1, 1))
+        assert all(t.distances(px, py) == (0, 0) for px in (-1, 4) for py in (-1, 0, 1))
 
     def test_bad_bounds_rejected(self):
         with pytest.raises(ValueError):
@@ -141,17 +139,14 @@ class TestBuildTables:
             l_max = l_min + rng.randint(0, 3)
             t = build_tables(x, l_min, l_max)
             for run in x.runs:
-                row = run.y - t.offset.y
                 for i, px in enumerate(range(run.lx, run.rx + 1)):
-                    col = px - t.offset.x
+                    left, right = t.distances(px, run.y)
                     if run.length >= l_min:
-                        assert t.left[row, col] == i + 1
-                        assert t.right[row, col] == run.length - i
-                        assert (
-                            t.left[row, col] + t.right[row, col] == run.length + 1
-                        )
+                        assert left == i + 1
+                        assert right == run.length - i
+                        assert left + right == run.length + 1
                     else:
-                        assert t.left[row, col] == 0 and t.right[row, col] == 0
+                        assert left == 0 and right == 0
 
     def test_transform_recurrences(self):
         # left(h) = left(h - (1,0)) + 1 and right(h) = right(h + (1,0)) + 1
@@ -162,12 +157,10 @@ class TestBuildTables:
             t = build_tables(x, 1, 1)
             pixels = x.pixel_set()
             for px, py in pixels:
-                row = py - t.offset.y
-                col = px - t.offset.x
                 if (px - 1, py) in pixels:
-                    assert t.left[row, col] == t.left[row, col - 1] + 1
+                    assert t.distances(px, py)[0] == t.distances(px - 1, py)[0] + 1
                 if (px + 1, py) in pixels:
-                    assert t.right[row, col] == t.right[row, col + 1] + 1
+                    assert t.distances(px, py)[1] == t.distances(px + 1, py)[1] + 1
 
     def test_x_cut_matches_naive_transform(self):
         # table values agree with the naive erosion transform of the
@@ -182,7 +175,7 @@ class TestBuildTables:
                 continue
             f = erosion_transform_naive(kept, A)
             for p, v in f.items():
-                assert t.left[p.y - t.offset.y, p.x - t.offset.x] == v
+                assert t.distances(p.x, p.y)[0] == v
 
 
 class TestErode:
@@ -249,6 +242,27 @@ class TestErode:
 
                 se = normalize(se.runs)
             assert erode(x, se).pixel_set() <= x.pixel_set()
+
+
+class TestMalformedInput:
+    """Runs that are not in compact form are rejected, not eroded wrongly."""
+
+    def test_overlapping_runs_rejected(self):
+        # eroded by a run of length 5 this once gave (2, 2, 0) without error
+        x = RleImage((Run(0, 3, 0), Run(2, 6, 0)))
+        with pytest.raises(ValueError, match="runs overlap or touch"):
+            erode(x, img((0, 4, 0)))
+
+    @pytest.mark.parametrize("op", [erode, dilate])
+    @pytest.mark.parametrize("runs, message", [
+        ((Run(5, 6, 0), Run(0, 2, 0)), "runs out of order"),
+        ((Run(0, 2, 1), Run(0, 2, 0)), "runs out of order"),
+        ((Run(0, 2, 0), Run(3, 4, 0)), "runs overlap or touch"),
+        ((Run(0, 2, 0), Run(4, 3, 1)), "lx > rx"),
+    ], ids=["unsorted-row", "unsorted-rows", "touching", "reversed"])
+    def test_rejected(self, op, runs, message):
+        with pytest.raises(ValueError, match=message):
+            op(RleImage(runs), SQUARE_3_CENTERED)
 
 
 class TestErodeInstrumented:
@@ -362,6 +376,25 @@ class TestScanKernel:
     def test_backend_reported(self):
         expected = "numba" if importlib.util.find_spec("numba") else "python"
         assert morphology.BACKEND == expected
+
+
+class TestMemoryBoundedByRuns:
+    """Memory follows the runs, not the bounding box: two 10x3 blocks at
+    (0, 0) and (s, s) have 6 runs and an s x s box."""
+
+    @pytest.mark.parametrize("op", [erode, dilate])
+    def test_sparse_wide_peak(self, op):
+        s = 8000
+        block = [(0, 9, y) for y in range(3)]
+        x = img(*block, *[(lx + s, rx + s, y + s) for lx, rx, y in block])
+        se = square_se(3)
+        tracemalloc.start()
+        try:
+            op(x, se)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 50 * 2**20
 
 
 class TestErodeCheckAt:
