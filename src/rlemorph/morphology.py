@@ -22,7 +22,6 @@ memoryviews of the arrays, which read as Python ints
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain
 
 import numpy as np
 
@@ -34,6 +33,7 @@ from .rle import (
     bounding_rect,
     complement_within,
     reflect,
+    to_array,
     translate,
 )
 
@@ -138,31 +138,6 @@ def generate_skeleton(se: RleImage) -> SkeletonTable:
     return SkeletonTable(tuple(entries), l_min, l_max, q)
 
 
-def _runs_array(x: RleImage) -> np.ndarray:
-    """The runs of x as an (n, 3) int64 array of (lx, rx, y) rows.
-
-    Raises ValueError unless the runs are in compact form: lx <= rx, sorted
-    by (y, lx), and neither overlapping nor touching within a row.
-    """
-    n = len(x.runs)
-    a = np.fromiter(chain.from_iterable(x.runs), dtype=np.int64, count=3 * n).reshape(n, 3)
-    lx, rx, y = a.T
-    bad = np.flatnonzero(lx > rx)
-    if bad.size:
-        raise ValueError(f"malformed run {x.runs[bad[0]]}: lx > rx")
-    same_row = y[1:] == y[:-1]
-    unsorted = (y[1:] < y[:-1]) | (same_row & (lx[1:] <= lx[:-1]))
-    touching = same_row & (lx[1:] <= rx[:-1] + 1)
-    bad = np.flatnonzero(unsorted | touching)
-    if bad.size:
-        i = bad[0]
-        prev, run = x.runs[i], x.runs[i + 1]
-        if unsorted[i]:
-            raise ValueError(f"runs out of order: {prev} then {run}")
-        raise ValueError(f"runs overlap or touch: {prev} and {run}")
-    return a
-
-
 def build_tables(x: RleImage, l_min: int, l_max: int) -> ErosionTables:
     """Index the input's runs by row and trim the input.
 
@@ -172,7 +147,7 @@ def build_tables(x: RleImage, l_min: int, l_max: int) -> ErosionTables:
     """
     if not (1 <= l_min <= l_max):
         raise ValueError(f"need 1 <= l_min <= l_max, got {l_min}, {l_max}")
-    runs = _runs_array(x)
+    runs = to_array(x)
     lengths = runs[:, 1] - runs[:, 0] + 1
     kept = runs[lengths >= l_min]
     top, bottom = (int(runs[0, 2]), int(runs[-1, 2])) if len(runs) else (0, -1)
@@ -317,7 +292,7 @@ else:
 def _scan(tables: ErosionTables, skel: SkeletonTable, trace: ErodeTrace | None) -> np.ndarray:
     """Jump scan of x_cut.  Returns the eroded runs in the anchored frame as
     (lx, rx, y) rows and adds the scan's counts and events to trace."""
-    cut = _runs_array(tables.x_cut)
+    cut = to_array(tables.x_cut)
     entries = np.array([(s.x, s.y, depth) for s, depth in skel.entries], dtype=np.int64)
     n_entries = len(entries)
     n_px = int((cut[:, 1] - cut[:, 0] + 1).sum())
@@ -363,7 +338,7 @@ def dilate(x: RleImage, se: RleImage) -> RleImage:
         raise EmptyStructuringElementError("empty structuring element")
     if x.is_empty:
         return EMPTY
-    _runs_array(x)
+    to_array(x)  # rejects runs not in compact form
     sb = bounding_rect(se)
     # Shift the element so its box straddles the origin; dilation commutes
     # with SE translation, and the rectangle bounds below assume it.

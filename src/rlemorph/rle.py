@@ -12,6 +12,7 @@ pure; images are immutable and safe to share.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Iterator, NamedTuple, Optional
 
 import numpy as np
@@ -124,18 +125,35 @@ def normalize(runs: Iterable[tuple[int, int, int]]) -> RleImage:
 
 def validate(img: RleImage) -> None:
     """Raise ValueError if the image violates the compact-form invariants."""
-    prev: Optional[Run] = None
     for run in img.runs:
         if not isinstance(run, Run):
             raise ValueError(f"not a Run: {run!r}")
-        if run.lx > run.rx:
-            raise ValueError(f"malformed run {run}")
-        if prev is not None:
-            if (run.y, run.lx) <= (prev.y, prev.lx):
-                raise ValueError(f"runs out of order: {prev} then {run}")
-            if run.y == prev.y and run.lx <= prev.rx + 1:
-                raise ValueError(f"runs overlap or touch: {prev} and {run}")
-        prev = run
+    to_array(img)
+
+
+def to_array(img: RleImage) -> np.ndarray:
+    """The runs as an (n, 3) int64 array of (lx, rx, y) rows.
+
+    Raises ValueError unless the runs are in compact form: lx <= rx, sorted
+    by (y, lx), and neither overlapping nor touching within a row.
+    """
+    n = len(img.runs)
+    a = np.fromiter(chain.from_iterable(img.runs), dtype=np.int64, count=3 * n).reshape(n, 3)
+    lx, rx, y = a.T
+    bad = np.flatnonzero(lx > rx)
+    if bad.size:
+        raise ValueError(f"malformed run {img.runs[bad[0]]}: lx > rx")
+    same_row = y[1:] == y[:-1]
+    unsorted = (y[1:] < y[:-1]) | (same_row & (lx[1:] <= lx[:-1]))
+    touching = same_row & (lx[1:] <= rx[:-1] + 1)
+    bad = np.flatnonzero(unsorted | touching)
+    if bad.size:
+        i = bad[0]
+        prev, run = img.runs[i], img.runs[i + 1]
+        if unsorted[i]:
+            raise ValueError(f"runs out of order: {prev} then {run}")
+        raise ValueError(f"runs overlap or touch: {prev} and {run}")
+    return a
 
 
 def from_raster(grid, origin: Point = Point(0, 0)) -> RleImage:
