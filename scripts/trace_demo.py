@@ -35,14 +35,14 @@ def main(argv=None) -> int:
     result = erode(image, se, trace)
 
     total = image.pixel_count()
-    print(f"input: {total} pixels in {len(image.runs)} runs")
+    print(f"input: {total} pixels in {len(image)} runs")
     print(f"element: {args.se_size}x{args.se_size} square, "
           f"{len(skel.entries)} skeleton entries, "
           f"l_min={skel.l_min}, l_max={skel.l_max}")
-    print(f"output: {result.pixel_count()} pixels in {len(result.runs)} runs")
+    print(f"output: {result.pixel_count()} pixels in {len(result)} runs")
     print(f"tables: {len(tables.left)} kept runs, left {tables.left.nbytes} B, "
           f"right {tables.right.nbytes} B, row_ptr {tables.row_ptr.nbytes} B, "
-          f"{len(tables.x_cut.runs)} x_cut runs")
+          f"{len(tables.x_cut)} x_cut runs")
     print()
     print(f"candidates examined : {trace.candidates:>6} "
           f"({trace.candidates / max(total, 1):.0%} of input pixels)")

@@ -128,7 +128,7 @@ def run_bench(
                         "se_shape": config.se_shape,
                         "se_size": size,
                         "mean_ms": sum(elapsed) / len(elapsed) * 1000.0,
-                        "runs_out": len(result.runs),
+                        "runs_out": len(result),
                         "pixels_out": result.pixel_count(),
                         "status": "ok",
                     }

@@ -43,12 +43,13 @@ def _save(img: RleImage, path: str, fmt: str, meta: ImageFileMeta | None) -> Non
     if fmt == "rle":
         Path(path).write_text(write_rle_text(img))
         return
-    rect = bounding_rect(img)
-    if rect is not None and (rect.l < 0 or rect.t < 0):
-        bad = next(r for r in img.runs if r.lx < 0 or r.y < 0)
+    a = img.array
+    bad = a[(a[:, 0] < 0) | (a[:, 2] < 0)]
+    if len(bad):
         raise PbmWriteError(
-            f"cannot write PBM: run {tuple(bad)} has negative coordinates"
+            f"cannot write PBM: run {tuple(bad[0].tolist())} has negative coordinates"
         )
+    rect = bounding_rect(img)
     width = meta.width if meta else 1
     height = meta.height if meta else 1
     if rect is not None:
@@ -81,7 +82,7 @@ def cmd_erode(input_path: str, se_path: str, output: str, fmt: str | None) -> No
     result = morphology.erode(img, se)
     _save(result, output, _guess_format(output, fmt), meta)
     click.echo(
-        f"erode: {len(result.runs)} runs, {result.pixel_count()} pixels", err=True
+        f"erode: {len(result)} runs, {result.pixel_count()} pixels", err=True
     )
 
 
@@ -97,7 +98,7 @@ def cmd_dilate(input_path: str, se_path: str, output: str, fmt: str | None) -> N
     result = morphology.dilate(img, se)
     _save(result, output, _guess_format(output, fmt), meta)
     click.echo(
-        f"dilate: {len(result.runs)} runs, {result.pixel_count()} pixels", err=True
+        f"dilate: {len(result)} runs, {result.pixel_count()} pixels", err=True
     )
 
 

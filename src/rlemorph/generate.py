@@ -6,21 +6,21 @@ from __future__ import annotations
 
 import numpy as np
 
-from .rle import Point, RleImage, Run, from_raster
+from .rle import Point, RleImage, from_raster
 
 
 def square_se(size: int) -> RleImage:
     """Solid size x size block centered at the origin; size must be odd."""
     _check_size(size)
     r = (size - 1) // 2
-    return RleImage(tuple(Run(-r, r, y) for y in range(-r, r + 1)))
+    return RleImage([(-r, r, y) for y in range(-r, r + 1)])
 
 
 def diamond_se(size: int) -> RleImage:
     """L1 ball of diameter size centered at the origin; size must be odd."""
     _check_size(size)
     r = (size - 1) // 2
-    return RleImage(tuple(Run(-(r - abs(y)), r - abs(y), y) for y in range(-r, r + 1)))
+    return RleImage([(abs(y) - r, r - abs(y), y) for y in range(-r, r + 1)])
 
 
 def _check_size(size: int) -> None:

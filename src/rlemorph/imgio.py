@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rle import EMPTY, Point, RleImage, from_raster, normalize
+from .rle import Point, Rect, RleImage, _paint, from_raster, normalize
 
 
 @dataclass(frozen=True)
@@ -118,16 +118,14 @@ def write_pbm(img: RleImage, meta: ImageFileMeta, variant: str = "P1") -> bytes:
     if variant not in ("P1", "P4"):
         raise ValueError(f"unknown PBM variant {variant!r}")
     ox, oy = meta.origin_offset
-    grid = np.zeros((meta.height, meta.width), dtype=bool)
-    for run in img.runs:
-        y = run.y - oy
-        lx = run.lx - ox
-        rx = run.rx - ox
-        if y < 0 or y >= meta.height or lx < 0 or rx >= meta.width:
-            raise PbmWriteError(
-                f"run {tuple(run)} outside declared {meta.width}x{meta.height} bounds"
-            )
-        grid[y, lx : rx + 1] = True
+    lx, rx, y = img.array.T
+    bad = np.flatnonzero((y < oy) | (y >= oy + meta.height) | (lx < ox) | (rx >= ox + meta.width))
+    if bad.size:
+        raise PbmWriteError(
+            f"run {tuple(img.array[bad[0]].tolist())} outside declared "
+            f"{meta.width}x{meta.height} bounds"
+        )
+    grid = _paint(img, Rect(ox, ox + meta.width - 1, oy, oy + meta.height - 1))
     header = f"{variant}\n{meta.width} {meta.height}\n".encode()
     if variant == "P1":
         body = "\n".join(" ".join("1" if v else "0" for v in row) for row in grid)
@@ -152,8 +150,6 @@ def read_rle_text(text: str) -> RleImage:
         if lx > rx:
             raise RleTextParseError(f"lx > rx in {line!r}", lineno)
         runs.append((lx, rx, y))
-    if not runs:
-        return EMPTY
     return normalize(runs)
 
 
@@ -171,4 +167,4 @@ def read_image(data: bytes) -> tuple[RleImage, ImageFileMeta | None]:
 
 
 def write_rle_text(img: RleImage) -> str:
-    return "".join(f"{r.y} {r.lx} {r.rx}\n" for r in img.runs)
+    return "".join(f"{y} {lx} {rx}\n" for lx, rx, y in img.array.tolist())

@@ -29,11 +29,9 @@ from .rle import (
     EMPTY,
     Point,
     RleImage,
-    Run,
     bounding_rect,
     complement_within,
     reflect,
-    to_array,
     translate,
 )
 
@@ -124,18 +122,13 @@ def generate_skeleton(se: RleImage) -> SkeletonTable:
     per run.  Among equally longest runs the first in (y, lx) order wins."""
     if se.is_empty:
         raise EmptyStructuringElementError("empty structuring element")
-    best = se.runs[0]
-    for r in se.runs[1:]:
-        if r.length > best.length:
-            best = r
-    q = Point(best.rx, best.y)
-    entries = []
-    l_min = l_max = se.runs[0].length
-    for r in se.runs:
-        entries.append((Point(r.rx - q.x, r.y - q.y), r.length))
-        l_min = min(l_min, r.length)
-        l_max = max(l_max, r.length)
-    return SkeletonTable(tuple(entries), l_min, l_max, q)
+    a = se.array
+    lengths = a[:, 1] - a[:, 0] + 1
+    best = int(np.argmax(lengths))
+    q = Point(int(a[best, 1]), int(a[best, 2]))
+    entries = tuple((Point(rx - q.x, y - q.y), n)
+                    for (_, rx, y), n in zip(a.tolist(), lengths.tolist()))
+    return SkeletonTable(entries, int(lengths.min()), int(lengths.max()), q)
 
 
 def build_tables(x: RleImage, l_min: int, l_max: int) -> ErosionTables:
@@ -147,15 +140,14 @@ def build_tables(x: RleImage, l_min: int, l_max: int) -> ErosionTables:
     """
     if not (1 <= l_min <= l_max):
         raise ValueError(f"need 1 <= l_min <= l_max, got {l_min}, {l_max}")
-    runs = to_array(x)
+    runs = x.array
     lengths = runs[:, 1] - runs[:, 0] + 1
     kept = runs[lengths >= l_min]
     top, bottom = (int(runs[0, 2]), int(runs[-1, 2])) if len(runs) else (0, -1)
     row_ptr = np.searchsorted(kept[:, 2], np.arange(top, bottom + 2))
     cut = runs[lengths >= l_max]
     cut[:, 0] += l_max - 1
-    x_cut = RleImage(tuple(map(Run._make, cut.tolist())))
-    return ErosionTables(kept[:, 0].copy(), kept[:, 1].copy(), row_ptr, top, x_cut)
+    return ErosionTables(kept[:, 0].copy(), kept[:, 1].copy(), row_ptr, top, RleImage(cut))
 
 
 def erode_check_at(tables: ErosionTables, skel: SkeletonTable, h: Point) -> bool:
@@ -292,7 +284,7 @@ else:
 def _scan(tables: ErosionTables, skel: SkeletonTable, trace: ErodeTrace | None) -> np.ndarray:
     """Jump scan of x_cut.  Returns the eroded runs in the anchored frame as
     (lx, rx, y) rows and adds the scan's counts and events to trace."""
-    cut = to_array(tables.x_cut)
+    cut = tables.x_cut.array
     entries = np.array([(s.x, s.y, depth) for s, depth in skel.entries], dtype=np.int64)
     n_entries = len(entries)
     n_px = int((cut[:, 1] - cut[:, 0] + 1).sum())
@@ -325,10 +317,8 @@ def erode(x: RleImage, se: RleImage, trace: ErodeTrace | None = None) -> RleImag
     """Exact erosion of x by an arbitrary non-empty structuring element."""
     skel = generate_skeleton(se)
     tables = build_tables(x, skel.l_min, skel.l_max)
-    runs = _scan(tables, skel, trace)
     q = skel.anchor_q
-    runs -= (q.x, q.x, q.y)
-    return RleImage(tuple(map(Run._make, runs.tolist())))
+    return RleImage(_scan(tables, skel, trace) - (q.x, q.x, q.y))
 
 
 def dilate(x: RleImage, se: RleImage) -> RleImage:
@@ -338,7 +328,6 @@ def dilate(x: RleImage, se: RleImage) -> RleImage:
         raise EmptyStructuringElementError("empty structuring element")
     if x.is_empty:
         return EMPTY
-    to_array(x)  # rejects runs not in compact form
     sb = bounding_rect(se)
     # Shift the element so its box straddles the origin; dilation commutes
     # with SE translation, and the rectangle bounds below assume it.

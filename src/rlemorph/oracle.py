@@ -81,22 +81,19 @@ def erode_run_by_run(se_run: Run, x_run: Run) -> RleImage:
 
 def erode_runs(x: RleImage, se: RleImage) -> RleImage:
     """Run-decomposition erosion: intersect over element runs of the union
-    over image runs of the pairwise run erosions."""
+    over image runs of the pairwise run erosions (erode_run_by_run, taken
+    for all image runs at once)."""
     if se.is_empty:
         raise EmptyStructuringElementError("empty structuring element")
+    c, d, y = x.array.T
     result: RleImage | None = None
-    for se_run in se.runs:
-        # One normalize over all pairwise erosions keeps the union linear.
-        layer = normalize(
-            r for x_run in x.runs for r in erode_run_by_run(se_run, x_run).runs
-        )
-        if result is None:
-            result = layer
-        else:
-            result = intersect(result, layer)
+    for a, b, yb in se.array.tolist():
+        keep = d - b >= c - a
+        layer = normalize(np.column_stack((c - a, d - b, y - yb))[keep])
+        result = layer if result is None else intersect(result, layer)
         if result.is_empty:
             return EMPTY
-    return result if result is not None else EMPTY
+    return result
 
 
 def n_fold_erode(x: RleImage, a: RleImage, n: int) -> RleImage:

@@ -12,7 +12,7 @@ A = RleImage((Run(-1, 0, 0),))  # {(-1,0), (0,0)}
 
 
 def img(*runs):
-    return RleImage(tuple(Run(*r) for r in runs))
+    return RleImage(runs)
 
 
 def random_rle_image(

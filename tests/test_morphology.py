@@ -33,6 +33,7 @@ from rlemorph.rle import (
     bounding_rect,
     complement_within,
     drop_short_runs,
+    normalize,
     reflect,
     translate,
     validate,
@@ -236,11 +237,7 @@ class TestErode:
             x = random_rle_image(rng, 24, 24)
             se = random_se(rng)
             if Point(0, 0) not in se.pixel_set():
-                se = RleImage(tuple(se.runs) + (Run(0, 0, 0),))
-                se = RleImage(tuple(sorted(set(se.runs), key=lambda r: (r.y, r.lx))))
-                from rlemorph.rle import normalize
-
-                se = normalize(se.runs)
+                se = normalize(list(se.runs) + [(0, 0, 0)])
             assert erode(x, se).pixel_set() <= x.pixel_set()
 
 
@@ -249,8 +246,8 @@ class TestMalformedInput:
 
     def test_overlapping_runs_rejected(self):
         # eroded by a run of length 5 this once gave (2, 2, 0) without error
-        x = RleImage((Run(0, 3, 0), Run(2, 6, 0)))
         with pytest.raises(ValueError, match="runs overlap or touch"):
+            x = RleImage((Run(0, 3, 0), Run(2, 6, 0)))
             erode(x, img((0, 4, 0)))
 
     @pytest.mark.parametrize("op", [erode, dilate])
@@ -263,6 +260,34 @@ class TestMalformedInput:
     def test_rejected(self, op, runs, message):
         with pytest.raises(ValueError, match=message):
             op(RleImage(runs), SQUARE_3_CENTERED)
+
+    @pytest.mark.parametrize("runs, message", [
+        ((Run(0, 3, 0), Run(2, 6, 0)), r"runs overlap or touch: Run\(lx=0, rx=3, y=0\) "
+                                       r"and Run\(lx=2, rx=6, y=0\)"),
+        ((Run(5, 6, 0), Run(0, 2, 0)), r"runs out of order: Run\(lx=5, rx=6, y=0\) "
+                                       r"then Run\(lx=0, rx=2, y=0\)"),
+        ((Run(0, 2, 1), Run(0, 2, 0)), "runs out of order"),
+        ((Run(0, 2, 0), Run(3, 4, 0)), "runs overlap or touch"),
+        ((Run(0, 2, 0), Run(4, 3, 1)), r"malformed run Run\(lx=4, rx=3, y=1\): lx > rx"),
+        (((0, 1),), "n rows of"),
+        (np.zeros((2, 4)), "n rows of"),
+        ((1, 2, 3), "n rows of"),
+    ], ids=["overlapping", "unsorted-row", "unsorted-rows", "touching", "reversed",
+            "short-row", "wide-array", "flat"])
+    def test_constructor_rejects(self, runs, message):
+        with pytest.raises(ValueError, match=message):
+            RleImage(runs)
+
+    @pytest.mark.parametrize("runs, message", [
+        # dilate once failed on these with "degenerate rectangle" and
+        # "need 1 <= l_min <= l_max, got 0, 3"
+        ((Run(0, 2, 1), Run(0, 2, 0)), "runs out of order"),
+        ((Run(0, 2, 0), Run(3, 2, 1)), "lx > rx"),
+    ], ids=["unsorted-rows", "reversed"])
+    @pytest.mark.parametrize("op", [erode, dilate])
+    def test_element_rejected(self, op, runs, message):
+        with pytest.raises(ValueError, match=message):
+            op(SQUARE_3_CENTERED, RleImage(runs))
 
 
 class TestErodeInstrumented:

@@ -1,4 +1,6 @@
 """Core RLE representation: construction, transforms, set operations."""
+import copy
+import pickle
 import random
 
 import numpy as np
@@ -11,6 +13,7 @@ from rlemorph.rle import (
     EMPTY,
     Point,
     Rect,
+    RleImage,
     Run,
     bounding_rect,
     complement_within,
@@ -52,6 +55,13 @@ class TestNormalize:
         with pytest.raises(ValueError, match="lx > rx"):
             normalize([(3, 1, 0)])
 
+    def test_huge_coordinates(self):
+        # a bounding box with more cells than an int64 can count
+        big = 2**40
+        a = normalize([(-big, big, 5), (0, 0, big), (3, 3, -big), (1, 2, -big)])
+        assert a == img((1, 3, -big), (-big, big, 5), (0, 0, big))
+        assert intersect(a, img((0, 10, 5), (0, 0, big))) == img((0, 10, 5), (0, 0, big))
+
     @given(st.lists(st.tuples(st.integers(-20, 20), st.integers(0, 6),
                               st.integers(-20, 20))))
     def test_idempotent_and_valid(self, triples):
@@ -66,6 +76,29 @@ class TestNormalize:
         runs = [(lx, lx + n, y) for lx, n, y in triples]
         expected = {(x, y) for lx, rx, y in runs for x in range(lx, rx + 1)}
         assert normalize(runs).pixel_set() == expected
+
+
+class TestRleImage:
+    def test_value_semantics(self):
+        runs = (Run(-1, 2, 0), Run(4, 4, 0), Run(0, 0, 3))
+        a = RleImage(runs)
+        b = RleImage(np.array(runs))
+        assert a == b and hash(a) == hash(b) and len(a) == 3
+        assert a.runs == runs and list(a) == list(runs)
+        assert a != RleImage(runs[:2]) and a != runs
+        assert EMPTY == RleImage(np.empty((0, 3))) and len(EMPTY) == 0
+        assert {a, b, EMPTY} == {a, EMPTY}
+        assert copy.deepcopy(a) == pickle.loads(pickle.dumps(a)) == a
+
+    def test_read_only(self):
+        source = np.array([[0, 3, 0]])
+        a = RleImage(source)
+        source[0, 1] = 9  # the image keeps its own copy
+        assert a == img((0, 3, 0))
+        with pytest.raises(ValueError):
+            a.array[0, 0] = 1
+        with pytest.raises(AttributeError):
+            a.array = np.empty((0, 3), dtype=np.int64)
 
 
 class TestRaster:
