@@ -167,4 +167,4 @@ def read_image(data: bytes) -> tuple[RleImage, ImageFileMeta | None]:
 
 
 def write_rle_text(img: RleImage) -> str:
-    return "".join(f"{y} {lx} {rx}\n" for lx, rx, y in img.array.tolist())
+    return "%d %d %d\n" * len(img) % tuple(img.array[:, [2, 0, 1]].ravel().tolist())
