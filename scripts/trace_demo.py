@@ -2,9 +2,9 @@
 """Show the pixel-skipping behaviour of the jump scan on a small example.
 
 Erodes a random image with a square element while collecting the
-instrumentation trace, then prints the size of the run-indexed distance
-tables, how many candidate positions were actually probed versus the total
-pixel count, and the jump/hit events.
+instrumentation trace, then prints the backend of the scan kernel, the
+size of the run-indexed distance tables, how many candidate positions were
+actually probed versus the total pixel count, and the jump/hit events.
 
 Usage:
     python3 scripts/trace_demo.py [--width 32] [--height 32]
@@ -14,7 +14,7 @@ import argparse
 import sys
 
 from rlemorph.generate import random_image, square_se
-from rlemorph.morphology import ErodeTrace, build_tables, erode, generate_skeleton
+from rlemorph.morphology import BACKEND, ErodeTrace, build_tables, erode, generate_skeleton
 
 
 def main(argv=None) -> int:
@@ -35,6 +35,7 @@ def main(argv=None) -> int:
     result = erode(image, se, trace)
 
     total = image.pixel_count()
+    print(f"backend: {BACKEND}")
     print(f"input: {total} pixels in {len(image)} runs")
     print(f"element: {args.se_size}x{args.se_size} square, "
           f"{len(skel.entries)} skeleton entries, "

@@ -128,8 +128,12 @@ def write_pbm(img: RleImage, meta: ImageFileMeta, variant: str = "P1") -> bytes:
     grid = _paint(img, Rect(ox, ox + meta.width - 1, oy, oy + meta.height - 1))
     header = f"{variant}\n{meta.width} {meta.height}\n".encode()
     if variant == "P1":
-        body = "\n".join(" ".join("1" if v else "0" for v in row) for row in grid)
-        return header + body.encode() + b"\n"
+        # Each pixel is a digit and a separator: a space, or a newline at
+        # the end of the row.
+        body = np.full((meta.height, 2 * meta.width), ord(" "), dtype=np.uint8)
+        body[:, 0::2] = grid.view(np.uint8) + ord("0")
+        body[:, -1] = ord("\n")
+        return header + body.tobytes()
     packed = np.packbits(grid, axis=1)
     return header + packed.tobytes()
 

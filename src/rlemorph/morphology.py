@@ -14,10 +14,11 @@ complement with the reflected element, restricted to finite rectangles.
 
 One kernel, ``_scan_kernel``, does the scan for traced and untraced
 erosion alike: it always counts candidates, probes, jumps and hits, and
-records candidate positions and jumps only when asked.  With numba it is
-compiled (``BACKEND == "numba"``); without it the same source runs on
-memoryviews of the arrays, which read as Python ints
-(``BACKEND == "python"``).
+records candidate positions and jumps only when asked.  It takes 1-D
+columns only.  With numba it is compiled and every column is an int64
+array (``BACKEND == "numba"``); without it the same source runs on Python
+ints (``BACKEND == "python"``): it reads the ``x_cut`` and skeleton
+columns as lists and the distance tables as zero-copy memoryviews.
 """
 from __future__ import annotations
 
@@ -159,9 +160,16 @@ def erode_check_at(tables: ErosionTables, skel: SkeletonTable, h: Point) -> bool
     return True
 
 
-def _scan_kernel(left, right, row_ptr, top, cut, entries, cur, end, cur_y, out,
-                 counts, record, cand_out, jump_out):
-    """Jump scan of x_cut; returns the number of runs written to out.
+def _scan_kernel(left, right, row_ptr, top, cut_lx, cut_rx, cut_y, sx, sy, depth,
+                 cur, end, cur_y, out_lx, out_rx, out_y, counts, record,
+                 cand_x, cand_y, jump_x, jump_y, jump_k):
+    """Jump scan of x_cut; returns the number of eroded runs written.
+
+    Every argument but top and record is a 1-D column of ints: an int64
+    array under numba, a list or memoryview when interpreted.  x_cut's runs
+    come as cut_lx, cut_rx and cut_y, the skeleton's entries as sx, sy (the
+    offset of the run's rightmost pixel from the anchor) and depth (the
+    run's length).
 
     Each skeleton entry keeps a cursor into the kept runs of the row it
     probes: cur is the first run whose rx is at or right of the probe, end
@@ -170,21 +178,22 @@ def _scan_kernel(left, right, row_ptr, top, cut, entries, cur, end, cur_y, out,
     cursor only moves forward; it is reset the first time the entry probes
     for a new row.  cur_y must start at a value no x_cut row has.
 
-    out receives the eroded runs as (lx, rx, y) rows in the anchored frame,
+    out_lx, out_rx and out_y receive the eroded runs in the anchored frame,
     counts receives [candidates, probes, jumps, hits].  When record is set,
-    cand_out receives every candidate as (x, y) and jump_out every jump on
-    miss as (x, y, k); each needs as many rows as x_cut has pixels.
+    cand_x and cand_y receive every candidate and jump_x, jump_y and jump_k
+    every jump on miss as (x, y, k); each needs room for as many items as
+    x_cut has pixels.
     """
     n_out = 0
     n_cand = 0
     n_probe = 0
     n_jump = 0
-    n_rows = row_ptr.shape[0] - 1
-    n_entries = entries.shape[0]
-    for ri in range(cut.shape[0]):
-        lx0 = cut[ri, 0]
-        rx0 = cut[ri, 1]
-        y0 = cut[ri, 2]
+    n_rows = len(row_ptr) - 1
+    n_entries = len(sx)
+    for ri in range(len(cut_lx)):
+        lx0 = cut_lx[ri]
+        rx0 = cut_rx[ri]
+        y0 = cut_y[ri]
         x = lx0
         # (index, x) of an entry already verified at x by a jump that landed
         # there; skipped when the entry pass restarts.
@@ -196,8 +205,8 @@ def _scan_kernel(left, right, row_ptr, top, cut, entries, cur, end, cur_y, out,
         while x <= rx0:
             if fresh:
                 if record:
-                    cand_out[n_cand, 0] = x
-                    cand_out[n_cand, 1] = y0
+                    cand_x[n_cand] = x
+                    cand_y[n_cand] = y0
                 n_cand += 1
             miss = False
             diff = 0
@@ -207,7 +216,7 @@ def _scan_kernel(left, right, row_ptr, top, cut, entries, cur, end, cur_y, out,
                     continue
                 if cur_y[idx] != y0:
                     cur_y[idx] = y0
-                    r = y0 + entries[idx, 1] - top
+                    r = y0 + sy[idx] - top
                     if 0 <= r < n_rows:
                         cur[idx] = row_ptr[r]
                         end[idx] = row_ptr[r + 1]
@@ -216,34 +225,34 @@ def _scan_kernel(left, right, row_ptr, top, cut, entries, cur, end, cur_y, out,
                         end[idx] = 0
                 c = cur[idx]
                 e = end[idx]
-                sx = entries[idx, 0]
-                depth = entries[idx, 2]
-                px = x + sx
+                dx = sx[idx]
+                d = depth[idx]
+                px = x + dx
                 while c < e and right[c] < px:
                     c += 1
                 v = px - left[c] + 1 if c < e and left[c] <= px else 0
                 n_probe += 1
-                diff = depth - v
+                diff = d - v
                 while diff > 0:
                     miss = True
                     if record:
-                        jump_out[n_jump, 0] = x
-                        jump_out[n_jump, 1] = y0
-                        jump_out[n_jump, 2] = diff
+                        jump_x[n_jump] = x
+                        jump_y[n_jump] = y0
+                        jump_k[n_jump] = diff
                     n_jump += 1
                     x += diff
                     if x > rx0:
                         break
-                    px = x + sx
+                    px = x + dx
                     while c < e and right[c] < px:
                         c += 1
                     v = px - left[c] + 1 if c < e and left[c] <= px else 0
                     n_probe += 1
                     if record:
-                        cand_out[n_cand, 0] = x
-                        cand_out[n_cand, 1] = y0
+                        cand_x[n_cand] = x
+                        cand_y[n_cand] = y0
                     n_cand += 1
-                    diff = depth - v
+                    diff = d - v
                 cur[idx] = c
                 if miss:
                     break
@@ -256,12 +265,12 @@ def _scan_kernel(left, right, row_ptr, top, cut, entries, cur, end, cur_y, out,
                 # Every entry's cursor now sits on the run that covers its probe.
                 min_dist = 1 << 60
                 for j in range(n_entries):
-                    v = right[cur[j]] - x - entries[j, 0] + 1
+                    v = right[cur[j]] - x - sx[j] + 1
                     if v < min_dist:
                         min_dist = v
-                out[n_out, 0] = x
-                out[n_out, 1] = x + min_dist - 1
-                out[n_out, 2] = y0
+                out_lx[n_out] = x
+                out_rx[n_out] = x + min_dist - 1
+                out_y[n_out] = y0
                 n_out += 1
                 x += min_dist + 1
                 fresh = True
@@ -274,11 +283,15 @@ def _scan_kernel(left, right, row_ptr, top, cut, entries, cur, end, cur_y, out,
 
 if _njit is not None:
     _scan_kernel = _njit(cache=True)(_scan_kernel)
-    _kernel_arg = np.asarray
+    _walked = _viewed = np.asarray
 else:
-    # The interpreted kernel reads memoryviews of the arrays: no copy, and
-    # each read is a Python int, far cheaper to work with than a numpy scalar.
-    _kernel_arg = memoryview
+    # The interpreted kernel reads Python ints, far cheaper to work with
+    # than numpy scalars.  Columns it walks in full (x_cut, the skeleton,
+    # the cursors) go in as lists, the cheapest to index; the tables, of
+    # which it may read only a few runs, and the outputs, written once per
+    # run, candidate or jump, go in as zero-copy memoryviews.
+    _walked = np.ndarray.tolist
+    _viewed = memoryview
 
 
 def _scan(tables: ErosionTables, skel: SkeletonTable, trace: ErodeTrace | None) -> np.ndarray:
@@ -291,24 +304,24 @@ def _scan(tables: ErosionTables, skel: SkeletonTable, trace: ErodeTrace | None) 
     n_rec = n_px if trace is not None else 0
     # Each output run ends where some entry's probed run ends, and one
     # (entry, kept run) pair ends at most one output run.
-    out = np.empty((min(n_px, n_entries * len(tables.left)), 3), dtype=np.int64)
-    counts = np.zeros(4, dtype=np.int64)
+    out = np.empty((3, min(n_px, n_entries * len(tables.left))), dtype=np.int64)
+    cand = np.empty((2, n_rec), dtype=np.int64)
+    jump = np.empty((3, n_rec), dtype=np.int64)
     cur = np.zeros(n_entries, dtype=np.int64)
     end = np.zeros(n_entries, dtype=np.int64)
     cur_y = np.full(n_entries, cut[0, 2] - 1 if len(cut) else 0, dtype=np.int64)
-    cand_out = np.empty((n_rec, 2), dtype=np.int64)
-    jump_out = np.empty((n_rec, 3), dtype=np.int64)
-    a = _kernel_arg
-    n = _scan_kernel(a(tables.left), a(tables.right), a(tables.row_ptr), tables.top,
-                     a(cut), a(entries), a(cur), a(end), a(cur_y), a(out), a(counts),
-                     trace is not None, a(cand_out), a(jump_out))
-    runs = out[:n]
+    counts = _walked(np.zeros(4, dtype=np.int64))
+    w, v = _walked, _viewed
+    n = _scan_kernel(v(tables.left), v(tables.right), v(tables.row_ptr), tables.top,
+                     *map(w, cut.T), *map(w, entries.T), w(cur), w(end), w(cur_y),
+                     *map(v, out), counts, trace is not None, *map(v, cand), *map(v, jump))
+    runs = out[:, :n].T
     if trace is not None:
-        n_cand, n_probe, n_jump, _ = counts.tolist()
+        n_cand, n_probe, n_jump, _ = map(int, counts)
         trace.candidates += n_cand
         trace.probes += n_probe
-        trace.candidate_positions.extend(map(tuple, cand_out[:n_cand].tolist()))
-        trace.jumps.extend(map(tuple, jump_out[:n_jump].tolist()))
+        trace.candidate_positions.extend(zip(*cand[:, :n_cand].tolist()))
+        trace.jumps.extend(zip(*jump[:, :n_jump].tolist()))
         trace.hits.extend((lx, y, rx - lx + 1) for lx, rx, y in runs.tolist())
     return runs
 

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from rlemorph import morphology
 from rlemorph.bench import (
     BenchConfig,
     BenchConfigError,
@@ -376,3 +377,4 @@ class TestScripts:
             assert label in out
         assert re.search(r"^tables: \d+ kept runs, left \d+ B, right \d+ B, "
                          r"row_ptr \d+ B, \d+ x_cut runs$", out, re.M)
+        assert out.splitlines()[0] == f"backend: {morphology.BACKEND}"

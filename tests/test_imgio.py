@@ -1,6 +1,7 @@
 """PBM (P1/P4) and RLE-text codecs."""
 import random
 
+import numpy as np
 import pytest
 
 from rlemorph.imgio import (
@@ -13,7 +14,7 @@ from rlemorph.imgio import (
     write_pbm,
     write_rle_text,
 )
-from rlemorph.rle import EMPTY, Point
+from rlemorph.rle import EMPTY, Point, from_raster
 
 from helpers import img, random_rle_image
 
@@ -80,6 +81,17 @@ class TestWritePbm:
         data = write_pbm(EMPTY, ImageFileMeta(2, 2), "P1")
         image, _ = read_pbm(data)
         assert image == EMPTY
+
+    @pytest.mark.parametrize("width, height", [(1, 1), (1, 7), (7, 1), (5, 9), (64, 33)])
+    def test_p1_body_matches_per_pixel_join(self, width, height):
+        rng = np.random.default_rng(width * 100 + height)
+        origin = Point(-3, 11)
+        meta = ImageFileMeta(width, height, origin)
+        for density in (0.0, 0.5, 1.0):
+            grid = rng.random((height, width)) < density
+            data = write_pbm(from_raster(grid, origin), meta, "P1")
+            body = "\n".join(" ".join("1" if v else "0" for v in row) for row in grid)
+            assert data == f"P1\n{width} {height}\n{body}\n".encode()
 
     def test_p4_packing(self):
         data = write_pbm(img((0, 0, 0), (2, 2, 0)), ImageFileMeta(8, 1), "P4")

@@ -398,6 +398,23 @@ class TestScanKernel:
         assert (trace.candidates, trace.probes, len(trace.jumps), len(trace.hits)) == counts
         assert len(trace.candidate_positions) == trace.candidates
 
+    @pytest.mark.parametrize("v", [Point(2**40, -(2**40)), Point(-(2**40) + 7, 2**40 - 3)],
+                             ids=["far-right-up", "far-left-down"])
+    @pytest.mark.parametrize("se", [square_se(5), diamond_se(7),
+                                    img((0, 4, 0), (2, 2, 3), (-3, -1, 5))],
+                             ids=["square5", "diamond7", "three-runs"])
+    def test_huge_coordinates(self, v, se):
+        # The kernel's arithmetic must agree on Python ints and int64 far
+        # from the origin, and stay clear of its 1 << 60 sentinel.
+        x = blob_image(64, 48, blobs=6, seed=11)
+        far = translate(x, v)
+        near_trace, far_trace = ErodeTrace(), ErodeTrace()
+        assert erode(far, se) == translate(erode(x, se), v)
+        assert erode(far, se, far_trace) == translate(erode(x, se, near_trace), v)
+        assert (far_trace.candidates, far_trace.probes, len(far_trace.jumps)) == \
+            (near_trace.candidates, near_trace.probes, len(near_trace.jumps))
+        assert dilate(far, se) == translate(dilate(x, se), v)
+
     def test_backend_reported(self):
         expected = "numba" if importlib.util.find_spec("numba") else "python"
         assert morphology.BACKEND == expected
