@@ -41,6 +41,9 @@ class RleTextParseError(ValueError):
 
 _WS = b" \t\r\n\x0b\x0c"
 _COMMENT = re.compile(rb"#[^\n]*")
+# Header fields: whitespace and comments between them, then ASCII digits.
+_GAP = re.compile(rb"(?:[ \t\r\n\x0b\x0c]|#[^\n]*)*")
+_DIGITS = re.compile(rb"[0-9]*")
 # Byte classes in a P1 payload: 0 invalid, 1 whitespace, 2 digit 0, 3 digit 1.
 _P1_KIND = np.zeros(256, dtype=np.uint8)
 _P1_KIND[list(_WS)] = 1
@@ -48,27 +51,12 @@ _P1_KIND[ord("0")] = 2
 _P1_KIND[ord("1")] = 3
 
 
-def _skip_ws_and_comments(data: bytes, pos: int) -> int:
-    while pos < len(data):
-        c = data[pos : pos + 1]
-        if c in (b"#",):
-            while pos < len(data) and data[pos : pos + 1] != b"\n":
-                pos += 1
-        elif c and c in _WS:
-            pos += 1
-        else:
-            break
-    return pos
-
-
 def _read_uint(data: bytes, pos: int, what: str) -> tuple[int, int]:
-    pos = _skip_ws_and_comments(data, pos)
-    start = pos
-    while pos < len(data) and data[pos : pos + 1].isdigit():
-        pos += 1
-    if pos == start:
+    start = _GAP.match(data, pos).end()
+    end = _DIGITS.match(data, start).end()
+    if end == start:
         raise PbmParseError(f"expected {what}", start)
-    return int(data[start:pos]), pos
+    return int(data[start:end]), end
 
 
 def _p1_bits(data: bytes, pos: int, width: int, height: int) -> np.ndarray:

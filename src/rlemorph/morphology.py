@@ -10,15 +10,17 @@ O(runs + rows) whatever the width of the image.  A failed probe with
 deficit k lets the scan jump k candidates to the right (jump on miss); a
 successful probe yields the full eroded run from the minimum right
 distance over the skeleton (jump on hit).  Dilation is erosion of the
-complement with the reflected element, restricted to finite rectangles.
+complement with the reflected element, restricted to two exact
+rectangles.
 
 One kernel, ``_scan_kernel``, does the scan for traced and untraced
-erosion alike: it always counts candidates, probes, jumps and hits, and
-records candidate positions and jumps only when asked.  It takes 1-D
-columns only.  With numba it is compiled and every column is an int64
-array (``BACKEND == "numba"``); without it the same source runs on Python
-ints (``BACKEND == "python"``): it reads the ``x_cut`` and skeleton
-columns as lists and the distance tables as zero-copy memoryviews.
+erosion alike: it always counts candidates, probes, jumps and hits and
+returns the counts with the number of eroded runs; it records candidate
+positions and jumps only when asked.  It takes 1-D columns only.  With
+numba it is compiled and every column is an int64 array (``BACKEND ==
+"numba"``); without it the same source runs on Python ints (``BACKEND ==
+"python"``): it reads the ``x_cut`` and skeleton columns as lists and the
+distance tables as zero-copy memoryviews.
 """
 from __future__ import annotations
 
@@ -29,18 +31,16 @@ import numpy as np
 from .rle import (
     EMPTY,
     Point,
+    Rect,
     RleImage,
     bounding_rect,
     complement_within,
     reflect,
-    translate,
 )
 
-# The horizontal jump set and its reflection.  The left distance table is
-# the erosion transform w.r.t. JUMP_SET, the right table w.r.t. its
-# reflection.
+# The horizontal jump set.  The left distance table is the erosion
+# transform w.r.t. JUMP_SET, the right table w.r.t. its reflection.
 JUMP_SET = (Point(-1, 0), Point(0, 0))
-JUMP_SET_REFLECTED = (Point(0, 0), Point(1, 0))
 
 
 try:
@@ -161,9 +161,9 @@ def erode_check_at(tables: ErosionTables, skel: SkeletonTable, h: Point) -> bool
 
 
 def _scan_kernel(left, right, row_ptr, top, cut_lx, cut_rx, cut_y, sx, sy, depth,
-                 cur, end, cur_y, out_lx, out_rx, out_y, counts, record,
+                 cur, end, cur_y, out_lx, out_rx, out_y, record,
                  cand_x, cand_y, jump_x, jump_y, jump_k):
-    """Jump scan of x_cut; returns the number of eroded runs written.
+    """Jump scan of x_cut; returns (runs written, candidates, probes, jumps).
 
     Every argument but top and record is a 1-D column of ints: an int64
     array under numba, a list or memoryview when interpreted.  x_cut's runs
@@ -178,11 +178,11 @@ def _scan_kernel(left, right, row_ptr, top, cut_lx, cut_rx, cut_y, sx, sy, depth
     cursor only moves forward; it is reset the first time the entry probes
     for a new row.  cur_y must start at a value no x_cut row has.
 
-    out_lx, out_rx and out_y receive the eroded runs in the anchored frame,
-    counts receives [candidates, probes, jumps, hits].  When record is set,
-    cand_x and cand_y receive every candidate and jump_x, jump_y and jump_k
-    every jump on miss as (x, y, k); each needs room for as many items as
-    x_cut has pixels.
+    out_lx, out_rx and out_y receive the eroded runs in the anchored frame;
+    each run written is one hit.  When record is set, cand_x and cand_y
+    receive every candidate and jump_x, jump_y and jump_k every jump on
+    miss as (x, y, k); each needs room for as many items as x_cut has
+    pixels.
     """
     n_out = 0
     n_cand = 0
@@ -227,13 +227,15 @@ def _scan_kernel(left, right, row_ptr, top, cut_lx, cut_rx, cut_y, sx, sy, depth
                 e = end[idx]
                 dx = sx[idx]
                 d = depth[idx]
-                px = x + dx
-                while c < e and right[c] < px:
-                    c += 1
-                v = px - left[c] + 1 if c < e and left[c] <= px else 0
-                n_probe += 1
-                diff = d - v
-                while diff > 0:
+                while True:
+                    px = x + dx
+                    while c < e and right[c] < px:
+                        c += 1
+                    v = px - left[c] + 1 if c < e and left[c] <= px else 0
+                    n_probe += 1
+                    diff = d - v
+                    if diff <= 0:
+                        break
                     miss = True
                     if record:
                         jump_x[n_jump] = x
@@ -243,16 +245,10 @@ def _scan_kernel(left, right, row_ptr, top, cut_lx, cut_rx, cut_y, sx, sy, depth
                     x += diff
                     if x > rx0:
                         break
-                    px = x + dx
-                    while c < e and right[c] < px:
-                        c += 1
-                    v = px - left[c] + 1 if c < e and left[c] <= px else 0
-                    n_probe += 1
                     if record:
                         cand_x[n_cand] = x
                         cand_y[n_cand] = y0
                     n_cand += 1
-                    diff = d - v
                 cur[idx] = c
                 if miss:
                     break
@@ -274,11 +270,7 @@ def _scan_kernel(left, right, row_ptr, top, cut_lx, cut_rx, cut_y, sx, sy, depth
                 n_out += 1
                 x += min_dist + 1
                 fresh = True
-    counts[0] = n_cand
-    counts[1] = n_probe
-    counts[2] = n_jump
-    counts[3] = n_out
-    return n_out
+    return n_out, n_cand, n_probe, n_jump
 
 
 if _njit is not None:
@@ -310,14 +302,13 @@ def _scan(tables: ErosionTables, skel: SkeletonTable, trace: ErodeTrace | None) 
     cur = np.zeros(n_entries, dtype=np.int64)
     end = np.zeros(n_entries, dtype=np.int64)
     cur_y = np.full(n_entries, cut[0, 2] - 1 if len(cut) else 0, dtype=np.int64)
-    counts = _walked(np.zeros(4, dtype=np.int64))
     w, v = _walked, _viewed
-    n = _scan_kernel(v(tables.left), v(tables.right), v(tables.row_ptr), tables.top,
-                     *map(w, cut.T), *map(w, entries.T), w(cur), w(end), w(cur_y),
-                     *map(v, out), counts, trace is not None, *map(v, cand), *map(v, jump))
+    n, n_cand, n_probe, n_jump = _scan_kernel(
+        v(tables.left), v(tables.right), v(tables.row_ptr), tables.top,
+        *map(w, cut.T), *map(w, entries.T), w(cur), w(end), w(cur_y),
+        *map(v, out), trace is not None, *map(v, cand), *map(v, jump))
     runs = out[:, :n].T
     if trace is not None:
-        n_cand, n_probe, n_jump, _ = map(int, counts)
         trace.candidates += n_cand
         trace.probes += n_probe
         trace.candidate_positions.extend(zip(*cand[:, :n_cand].tolist()))
@@ -336,21 +327,14 @@ def erode(x: RleImage, se: RleImage, trace: ErodeTrace | None = None) -> RleImag
 
 def dilate(x: RleImage, se: RleImage) -> RleImage:
     """Exact dilation via duality: complement, erode by the reflected
-    element, complement back, all restricted to finite rectangles."""
+    element, complement back.  The dilation lies in the box rb + sb; for h
+    in it and b in se, h - b lies in rb grown by sb's size less one, so
+    complementing x within that rectangle is exact."""
     if se.is_empty:
         raise EmptyStructuringElementError("empty structuring element")
     if x.is_empty:
         return EMPTY
-    sb = bounding_rect(se)
-    # Shift the element so its box straddles the origin; dilation commutes
-    # with SE translation, and the rectangle bounds below assume it.
-    v = Point(-(sb.l + sb.r) // 2, -(sb.t + sb.b) // 2)
-    se0 = translate(se, v)
-    w, h = sb.width, sb.height
-    rb = bounding_rect(x)
-    rec_dil = rb.grown(w, h)
-    rec_ero = rb.grown(2 * w, 2 * h)
-    x_comp = complement_within(x, rec_ero)
-    eroded = erode(x_comp, reflect(se0))
-    out = complement_within(eroded, rec_dil)
-    return translate(out, Point(-v.x, -v.y))
+    rb, sb = bounding_rect(x), bounding_rect(se)
+    x_comp = complement_within(x, rb.grown(sb.width - 1, sb.height - 1))
+    eroded = erode(x_comp, reflect(se))
+    return complement_within(eroded, Rect(rb.l + sb.l, rb.r + sb.r, rb.t + sb.t, rb.b + sb.b))

@@ -66,9 +66,6 @@ class Rect:
     def grown(self, dx: int, dy: int) -> "Rect":
         return Rect(self.l - dx, self.r + dx, self.t - dy, self.b + dy)
 
-    def contains(self, p: Point) -> bool:
-        return self.l <= p.x <= self.r and self.t <= p.y <= self.b
-
 
 def _as_runs(runs) -> np.ndarray:
     """The runs as a new (n, 3) int64 array; raises ValueError unless each

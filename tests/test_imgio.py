@@ -71,6 +71,24 @@ class TestReadPbm:
         else:
             pytest.fail("expected parse error")
 
+    # Header fields are separated by any run of whitespace and comments; a
+    # comment runs to the end of its line.
+    @pytest.mark.parametrize("data, message, offset", [
+        (b"P1 #w 9\n 3 #h\n\n x", "expected height", 16),
+        (b"P1#only\n", "expected width", 8),
+        (b"P1 -3 1\n1", "expected width", 3),
+    ])
+    def test_header_errors(self, data, message, offset):
+        with pytest.raises(PbmParseError, match=message) as info:
+            read_pbm(data)
+        assert info.value.offset == offset
+
+    @pytest.mark.parametrize("data", [b"P4\t2\x0b#c\n1\n\x80", b"P1\n#a\n#b\n2#c\n1 1 0"])
+    def test_header_gaps(self, data):
+        image, meta = read_pbm(data)
+        assert (meta.width, meta.height) == (2, 1)
+        assert image == img((0, 0, 0))
+
 
 class TestWritePbm:
     def test_p1_row(self):

@@ -522,6 +522,21 @@ class TestDilate:
             moved = translate(se, v)
             assert dilate(x, moved) == translate(dilate(x, se), v)
 
+    def test_box_excludes_origin(self):
+        # The complement rectangles follow the two bounding boxes, wherever
+        # they lie; checked against the definition, not against dilate.
+        rng = random.Random(31)
+        for _ in range(30):
+            x = random_rle_image(rng, 24, 24)
+            v = Point(rng.randint(-60, 60), rng.randint(-60, 60))
+            se = translate(random_se(rng), v)
+            assert dilate(x, se) == dilate_naive(x, se)
+        x = random_rle_image(random.Random(32), 24, 24)
+        for se in (img((5, 5, -3)), img((40, 45, -20), (40, 40, -19))):
+            assert dilate(x, se) == dilate_naive(x, se)
+        solid = img(*[(0, 4, y) for y in range(3)])
+        assert dilate(solid, img((5, 5, -3))) == dilate_naive(solid, img((5, 5, -3)))
+
     def test_extensive_with_origin(self):
         rng = random.Random(29)
         for _ in range(30):
