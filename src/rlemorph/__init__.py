@@ -16,7 +16,6 @@ from .rle import (
     to_raster,
     translate,
     union,
-    validate,
 )
 from .morphology import (
     EmptyStructuringElementError,
@@ -46,7 +45,6 @@ __all__ = [
     "to_raster",
     "translate",
     "union",
-    "validate",
     "EmptyStructuringElementError",
     "ErodeTrace",
     "ErosionTables",

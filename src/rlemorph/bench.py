@@ -104,16 +104,15 @@ def run_bench(
     image = load_image_source(config.image_source)
     rows: list[dict] = []
     for size in config.se_sizes:
-        try:
-            se = _make_se(config, size)
-        except Exception as exc:
-            for algo in config.algorithms:
-                rows.append(_error_row(algo, config.se_shape, size, exc))
-            continue
+        se = None
         for algo in config.algorithms:
-            fn = _OPERATORS[algo]
             kind, op = algo.split("-")
+            row = dict.fromkeys(CSV_FIELDS, "")
+            row.update(algorithm=kind, op=op, se_shape=config.se_shape, se_size=size)
             try:
+                if se is None:  # built once per size, or tried again after an error
+                    se = _make_se(config, size)
+                fn = _OPERATORS[algo]
                 fn(image, se)  # warm-up, not timed
                 elapsed = []
                 for _ in range(config.iterations):
@@ -121,35 +120,13 @@ def run_bench(
                     result = fn(image, se)
                     t1 = clock()
                     elapsed.append(t1 - t0)
-                rows.append(
-                    {
-                        "algorithm": kind,
-                        "op": op,
-                        "se_shape": config.se_shape,
-                        "se_size": size,
-                        "mean_ms": sum(elapsed) / len(elapsed) * 1000.0,
-                        "runs_out": len(result),
-                        "pixels_out": result.pixel_count(),
-                        "status": "ok",
-                    }
-                )
+                row.update(mean_ms=sum(elapsed) / len(elapsed) * 1000.0,
+                           runs_out=len(result), pixels_out=result.pixel_count(),
+                           status="ok")
             except Exception as exc:
-                rows.append(_error_row(algo, config.se_shape, size, exc))
+                row["status"] = f"error: {exc}"
+            rows.append(row)
     return rows
-
-
-def _error_row(algo: str, shape: str, size: int, exc: Exception) -> dict:
-    kind, _, op = algo.partition("-")
-    return {
-        "algorithm": kind,
-        "op": op,
-        "se_shape": shape,
-        "se_size": size,
-        "mean_ms": "",
-        "runs_out": "",
-        "pixels_out": "",
-        "status": f"error: {exc}",
-    }
 
 
 def rows_to_csv(rows: list[dict]) -> str:

@@ -11,7 +11,7 @@ from pathlib import Path
 import click
 
 from . import generate, morphology
-from .bench import BenchConfig, BenchConfigError, rows_to_csv, rows_to_table, run_bench
+from .bench import BenchConfig, rows_to_csv, rows_to_table, run_bench
 from .imgio import (
     ImageFileMeta,
     PbmParseError,
@@ -21,7 +21,7 @@ from .imgio import (
     write_pbm,
     write_rle_text,
 )
-from .rle import Point, RleImage, bounding_rect
+from .rle import RleImage, bounding_rect
 
 FORMATS = ("pbm1", "pbm4", "rle")
 
@@ -43,19 +43,13 @@ def _save(img: RleImage, path: str, fmt: str, meta: ImageFileMeta | None) -> Non
     if fmt == "rle":
         Path(path).write_text(write_rle_text(img))
         return
-    a = img.array
-    bad = a[(a[:, 0] < 0) | (a[:, 2] < 0)]
-    if len(bad):
-        raise PbmWriteError(
-            f"cannot write PBM: run {tuple(bad[0].tolist())} has negative coordinates"
-        )
     rect = bounding_rect(img)
     width = meta.width if meta else 1
     height = meta.height if meta else 1
     if rect is not None:
         width = max(width, rect.r + 1)
         height = max(height, rect.b + 1)
-    out_meta = ImageFileMeta(width, height, Point(0, 0))
+    out_meta = ImageFileMeta(width, height)
     Path(path).write_bytes(write_pbm(img, out_meta, "P1" if fmt == "pbm1" else "P4"))
 
 
@@ -196,19 +190,14 @@ def cmd_convert(input_path: str, output: str, fmt: str | None) -> None:
 def main(argv: list[str] | None = None) -> int:
     try:
         cli.main(args=argv, standalone_mode=False)
-    except click.exceptions.Exit as exc:
-        return exc.exit_code
-    except (PbmParseError, RleTextParseError) as exc:
-        click.echo(f"error: {exc}", err=True)
-        return 2
-    except OSError as exc:
+    except (PbmParseError, RleTextParseError, OSError) as exc:
         click.echo(f"error: {exc}", err=True)
         return 2
     except (morphology.EmptyStructuringElementError, PbmWriteError) as exc:
         click.echo(f"error: {exc}", err=True)
         return 3
-    except (click.UsageError, BenchConfigError, ValueError) as exc:
-        # plain ValueError covers generator parameter checks (even SE size etc.)
+    except (click.UsageError, ValueError) as exc:
+        # ValueError covers BenchConfigError and generator parameter checks
         click.echo(f"error: {exc}", err=True)
         return 1
     return 0

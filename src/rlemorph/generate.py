@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .rle import Point, RleImage, from_raster
+from .rle import RleImage, from_raster
 
 
 def square_se(size: int) -> RleImage:
@@ -68,4 +68,4 @@ def blob_image(
             x0, x1 = max(0, cx - r), min(width, cx + r + 1)
             ys, xs = np.ogrid[y0:y1, x0:x1]
             grid[y0:y1, x0:x1] |= (xs - cx) ** 2 + (ys - cy) ** 2 <= r * r
-    return from_raster(grid, Point(0, 0))
+    return from_raster(grid)

@@ -13,14 +13,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rle import Point, Rect, RleImage, _paint, from_raster, normalize
+from .rle import Rect, RleImage, _paint, from_raster, normalize
 
 
 @dataclass(frozen=True)
 class ImageFileMeta:
     width: int
     height: int
-    origin_offset: Point = Point(0, 0)
 
 
 class PbmParseError(ValueError):
@@ -42,7 +41,7 @@ class RleTextParseError(ValueError):
 _WS = b" \t\r\n\x0b\x0c"
 _COMMENT = re.compile(rb"#[^\n]*")
 # Header fields: whitespace and comments between them, then ASCII digits.
-_GAP = re.compile(rb"(?:[ \t\r\n\x0b\x0c]|#[^\n]*)*")
+_GAP = re.compile(b"(?:[%s]|%s)*" % (re.escape(_WS), _COMMENT.pattern))
 _DIGITS = re.compile(rb"[0-9]*")
 # Byte classes in a P1 payload: 0 invalid, 1 whitespace, 2 digit 0, 3 digit 1.
 _P1_KIND = np.zeros(256, dtype=np.uint8)
@@ -105,15 +104,14 @@ def read_pbm(data: bytes) -> tuple[RleImage, ImageFileMeta]:
 def write_pbm(img: RleImage, meta: ImageFileMeta, variant: str = "P1") -> bytes:
     if variant not in ("P1", "P4"):
         raise ValueError(f"unknown PBM variant {variant!r}")
-    ox, oy = meta.origin_offset
     lx, rx, y = img.array.T
-    bad = np.flatnonzero((y < oy) | (y >= oy + meta.height) | (lx < ox) | (rx >= ox + meta.width))
+    bad = np.flatnonzero((y < 0) | (y >= meta.height) | (lx < 0) | (rx >= meta.width))
     if bad.size:
         raise PbmWriteError(
-            f"run {tuple(img.array[bad[0]].tolist())} outside declared "
-            f"{meta.width}x{meta.height} bounds"
+            f"run {tuple(img.array[bad[0]].tolist())} outside the "
+            f"{meta.width}x{meta.height} canvas at (0, 0)"
         )
-    grid = _paint(img, Rect(ox, ox + meta.width - 1, oy, oy + meta.height - 1))
+    grid = _paint(img, Rect(0, meta.width - 1, 0, meta.height - 1))
     header = f"{variant}\n{meta.width} {meta.height}\n".encode()
     if variant == "P1":
         # Each pixel is a digit and a separator: a space, or a newline at

@@ -186,11 +186,6 @@ def normalize(runs: Iterable[tuple[int, int, int]] | np.ndarray) -> RleImage:
     return _cover(a, np.ones(len(a), dtype=np.int64), 1)
 
 
-def validate(img: RleImage) -> None:
-    """Raise ValueError if the image violates the compact-form invariants."""
-    RleImage(img.array)
-
-
 def from_raster(grid, origin: Point = Point(0, 0)) -> RleImage:
     """Convert a 2D boolean array (indexed [row][col]) to a compact image.
 

@@ -21,7 +21,7 @@ from rlemorph.bench import (
 from rlemorph.cli import main
 from rlemorph.generate import blob_image, diamond_se, random_image, square_se
 from rlemorph.imgio import read_rle_text, write_rle_text
-from rlemorph.rle import EMPTY, Point, from_raster, reflect, validate
+from rlemorph.rle import EMPTY, Point, from_raster, reflect
 
 from helpers import img, random_rle_image
 
@@ -77,7 +77,6 @@ class TestGenerators:
 
     def test_blob_image_nonempty(self):
         b = blob_image(64, 64, seed=0)
-        validate(b)
         assert not b.is_empty
 
     @pytest.mark.parametrize("width,height", [(40, 30), (7, 300), (300, 7), (1, 1), (97, 64)])
@@ -183,6 +182,13 @@ class TestCliGen:
         assert main(args + ["-o", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_gen_image_blobs_options(self, tmp_path):
+        out = tmp_path / "b.rle"
+        assert main(["gen-image", "blobs", "--width", "40", "--height", "30",
+                     "--blobs", "5", "--min-size", "2", "--max-size", "9",
+                     "--seed", "3", "-o", str(out)]) == 0
+        assert read_rle_text(out.read_text()) == blob_image(40, 30, 5, 2, 9, 3)
+
     def test_gen_image_bad_density(self, tmp_path):
         assert main(["gen-image", "random", "--width", "4", "--height", "4",
                      "--density", "1.5", "-o", str(tmp_path / "a.rle")]) == 1
@@ -204,12 +210,20 @@ class TestCliConvert:
         b, _ = read_pbm(back.read_bytes())
         assert a == b
 
-    def test_negative_coordinates_to_pbm_fails(self, tmp_path):
+    def test_negative_coordinates_to_pbm_fails(self, tmp_path, capsys):
         rle = tmp_path / "a.rle"
         rle.write_text("0 -1 1\n")
         code = main(["convert", str(rle), "-o", str(tmp_path / "a.pbm"),
                      "--format", "pbm1"])
         assert code == 3
+        assert "(-1, 1, 0)" in capsys.readouterr().err
+
+    def test_pbm_suffix_writes_p1(self, tmp_path):
+        rle = tmp_path / "a.rle"
+        rle.write_text("0 0 1\n1 2 2\n")
+        assert main(["convert", str(rle), "-o", str(tmp_path / "a.pbm")]) == 0
+        data = (tmp_path / "a.pbm").read_bytes()
+        assert data == b"P1\n3 2\n1 1 0\n0 0 1\n"
 
     def test_empty_image_converts(self, tmp_path):
         rle = tmp_path / "a.rle"
@@ -226,6 +240,10 @@ class TestBench:
             BenchConfig(image_source="x", iterations=0)
         with pytest.raises(BenchConfigError):
             BenchConfig(image_source="x", algorithms=("warp-erode",))
+        with pytest.raises(BenchConfigError, match="se_shape"):
+            BenchConfig(image_source="x", se_shape="disc")
+        with pytest.raises(BenchConfigError, match="se_path"):
+            BenchConfig(image_source="x", se_shape="file")
 
     def test_single_row_solid_case(self, tmp_path):
         src = tmp_path / "x.rle"
@@ -297,6 +315,23 @@ class TestBench:
         a = load_image_source("random:16x8:density=0.5:seed=3")
         b = load_image_source("random:16x8:density=0.5:seed=3")
         assert a == b and not a.is_empty
+        assert load_image_source("blobs:32x24:seed=4") == blob_image(32, 24, seed=4)
+
+    def test_diamond_sweep(self):
+        config = BenchConfig(image_source="blobs:32x24:seed=4", se_shape="diamond",
+                             se_sizes=(3, 5), algorithms=("fast-erode", "naive-erode"),
+                             iterations=1)
+        rows = run_bench(config)
+        assert [r["se_size"] for r in rows] == [3, 3, 5, 5]
+        assert all(r["se_shape"] == "diamond" and r["status"] == "ok" for r in rows)
+        for size in (3, 5):
+            assert len({r["pixels_out"] for r in rows if r["se_size"] == size}) == 1
+
+    def test_cli_bench_bad_sizes(self, tmp_path, capsys):
+        code = main(["bench", "--image", "random:8x8:seed=1", "--se-sizes", "3,x",
+                     "--csv", str(tmp_path / "b.csv")])
+        assert code == 1
+        assert "bad --se-sizes" in capsys.readouterr().err
 
     def test_cli_bench(self, tmp_path):
         out = tmp_path / "bench.csv"
@@ -338,6 +373,21 @@ class TestBench:
         for op in ("erode", "dilate"):
             assert len({(r["runs_out"], r["pixels_out"]) for r in rows
                         if r["op"] == op}) == 1
+
+    def test_cli_bench_empty_se_file(self, tmp_path):
+        se = tmp_path / "se.rle"
+        se.write_text("")
+        out = tmp_path / "bench.csv"
+        code = main(["bench", "--image", "random:8x8:seed=1", "--se-shape", "file",
+                     "--se-path", str(se), "--algos", "fast-erode,naive-dilate",
+                     "--csv", str(out)])
+        assert code == 0
+        rows = list(csv.DictReader(io.StringIO(out.read_text())))
+        assert [(r["algorithm"], r["op"], r["status"]) for r in rows] == [
+            ("fast", "erode", "error: empty structuring element"),
+            ("naive", "dilate", "error: empty structuring element"),
+        ]
+        assert all(r["mean_ms"] == r["runs_out"] == r["pixels_out"] == "" for r in rows)
 
     def test_cli_bench_se_file_takes_one_size(self, tmp_path, capsys):
         se = tmp_path / "se.rle"

@@ -14,7 +14,7 @@ from rlemorph.imgio import (
     write_pbm,
     write_rle_text,
 )
-from rlemorph.rle import EMPTY, Point, from_raster
+from rlemorph.rle import EMPTY, from_raster
 
 from helpers import img, random_rle_image
 
@@ -77,6 +77,8 @@ class TestReadPbm:
         (b"P1 #w 9\n 3 #h\n\n x", "expected height", 16),
         (b"P1#only\n", "expected width", 8),
         (b"P1 -3 1\n1", "expected width", 3),
+        (b"P1 0 3\n", "bad dimensions 0x3", 6),
+        (b"P4 1 1", "truncated P4 header", 6),
     ])
     def test_header_errors(self, data, message, offset):
         with pytest.raises(PbmParseError, match=message) as info:
@@ -103,13 +105,16 @@ class TestWritePbm:
     @pytest.mark.parametrize("width, height", [(1, 1), (1, 7), (7, 1), (5, 9), (64, 33)])
     def test_p1_body_matches_per_pixel_join(self, width, height):
         rng = np.random.default_rng(width * 100 + height)
-        origin = Point(-3, 11)
-        meta = ImageFileMeta(width, height, origin)
+        meta = ImageFileMeta(width, height)
         for density in (0.0, 0.5, 1.0):
             grid = rng.random((height, width)) < density
-            data = write_pbm(from_raster(grid, origin), meta, "P1")
+            data = write_pbm(from_raster(grid), meta, "P1")
             body = "\n".join(" ".join("1" if v else "0" for v in row) for row in grid)
             assert data == f"P1\n{width} {height}\n{body}\n".encode()
+
+    def test_unknown_variant_rejected(self):
+        with pytest.raises(ValueError, match="variant"):
+            write_pbm(EMPTY, ImageFileMeta(1, 1), "P2")
 
     def test_p4_packing(self):
         data = write_pbm(img((0, 0, 0), (2, 2, 0)), ImageFileMeta(8, 1), "P4")
@@ -120,12 +125,6 @@ class TestWritePbm:
             write_pbm(img((0, 5, 0)), ImageFileMeta(3, 1), "P1")
         with pytest.raises(PbmWriteError):
             write_pbm(img((-1, 0, 0)), ImageFileMeta(3, 1), "P1")
-
-    def test_origin_offset(self):
-        meta = ImageFileMeta(3, 1, Point(-1, 5))
-        data = write_pbm(img((-1, 1, 5)), meta, "P1")
-        image, _ = read_pbm(data)
-        assert image == img((0, 2, 0))
 
     def test_round_trips(self):
         rng = random.Random(40)

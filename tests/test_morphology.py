@@ -36,7 +36,6 @@ from rlemorph.rle import (
     normalize,
     reflect,
     translate,
-    validate,
 )
 
 from helpers import A, img, random_rle_image, random_se
@@ -209,7 +208,6 @@ class TestErode:
             se = random_se(rng)
             expected = erode_naive(x, se)
             got = erode(x, se)
-            validate(got)
             assert got == expected
             assert erode_runs(x, se) == expected
 
@@ -509,7 +507,6 @@ class TestDilate:
             x = random_rle_image(rng, 48, 48)
             se = random_se(rng)
             got = dilate(x, se)
-            validate(got)
             assert got == dilate_naive(x, se)
 
     def test_se_far_from_origin(self):
