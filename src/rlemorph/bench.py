@@ -59,7 +59,7 @@ class BenchConfig:
             raise BenchConfigError("se_sizes must not be empty")
         if self.iterations < 1:
             raise BenchConfigError("iterations must be >= 1")
-        if self.se_shape not in ("square", "diamond", "file"):
+        if self.se_shape not in (*generate.ELEMENTS, "file"):
             raise BenchConfigError(f"unknown se_shape {self.se_shape!r}")
         if self.se_shape == "file" and not self.se_path:
             raise BenchConfigError("se_shape 'file' requires se_path")
@@ -91,11 +91,9 @@ def load_image_source(source: str) -> RleImage:
 
 
 def _make_se(config: BenchConfig, size: int) -> RleImage:
-    if config.se_shape == "square":
-        return generate.square_se(size)
-    if config.se_shape == "diamond":
-        return generate.diamond_se(size)
-    return load_image_source(config.se_path)
+    if config.se_shape == "file":
+        return load_image_source(config.se_path)
+    return generate.ELEMENTS[config.se_shape](size)
 
 
 def run_bench(

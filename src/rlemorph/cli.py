@@ -30,25 +30,17 @@ def _load(path: str) -> tuple[RleImage, ImageFileMeta | None]:
     return read_image(Path(path).read_bytes())
 
 
-def _guess_format(path: str, explicit: str | None) -> str:
-    if explicit:
-        return explicit
-    suffix = Path(path).suffix.lower()
-    if suffix == ".pbm":
-        return "pbm1"
-    return "rle"
-
-
-def _save(img: RleImage, path: str, fmt: str, meta: ImageFileMeta | None) -> None:
+def _save(img: RleImage, path: str, fmt: str | None, meta: ImageFileMeta | None) -> None:
+    """Write img to path as fmt; with no fmt, as P1 for a .pbm suffix and as
+    RLE text otherwise."""
+    fmt = fmt or ("pbm1" if Path(path).suffix.lower() == ".pbm" else "rle")
     if fmt == "rle":
         Path(path).write_text(write_rle_text(img))
         return
     rect = bounding_rect(img)
-    width = meta.width if meta else 1
-    height = meta.height if meta else 1
+    width, height = (meta.width, meta.height) if meta else (1, 1)
     if rect is not None:
-        width = max(width, rect.r + 1)
-        height = max(height, rect.b + 1)
+        width, height = max(width, rect.r + 1), max(height, rect.b + 1)
     out_meta = ImageFileMeta(width, height)
     Path(path).write_bytes(write_pbm(img, out_meta, "P1" if fmt == "pbm1" else "P4"))
 
@@ -64,47 +56,33 @@ _format_opt = click.option(
 )
 
 
-@cli.command("erode")
-@click.argument("input_path", metavar="INPUT")
-@click.argument("se_path", metavar="SE")
-@_output_opt
-@_format_opt
-def cmd_erode(input_path: str, se_path: str, output: str, fmt: str | None) -> None:
-    """Erode INPUT by the structuring element SE."""
-    img, meta = _load(input_path)
-    se, _ = _load(se_path)
-    result = morphology.erode(img, se)
-    _save(result, output, _guess_format(output, fmt), meta)
-    click.echo(
-        f"erode: {len(result)} runs, {result.pixel_count()} pixels", err=True
-    )
+def _operator_command(name: str) -> None:
+    """Register the subcommand that applies morphology.<name> to INPUT."""
+
+    @cli.command(name, help=f"{name.capitalize()} INPUT by the structuring element SE.")
+    @click.argument("input_path", metavar="INPUT")
+    @click.argument("se_path", metavar="SE")
+    @_output_opt
+    @_format_opt
+    def command(input_path: str, se_path: str, output: str, fmt: str | None) -> None:
+        img, meta = _load(input_path)
+        se, _ = _load(se_path)
+        result = getattr(morphology, name)(img, se)
+        _save(result, output, fmt, meta)
+        click.echo(f"{name}: {len(result)} runs, {result.pixel_count()} pixels", err=True)
 
 
-@cli.command("dilate")
-@click.argument("input_path", metavar="INPUT")
-@click.argument("se_path", metavar="SE")
-@_output_opt
-@_format_opt
-def cmd_dilate(input_path: str, se_path: str, output: str, fmt: str | None) -> None:
-    """Dilate INPUT by the structuring element SE."""
-    img, meta = _load(input_path)
-    se, _ = _load(se_path)
-    result = morphology.dilate(img, se)
-    _save(result, output, _guess_format(output, fmt), meta)
-    click.echo(
-        f"dilate: {len(result)} runs, {result.pixel_count()} pixels", err=True
-    )
+_operator_command("erode")
+_operator_command("dilate")
 
 
 @cli.command("gen-se")
-@click.argument("shape", type=click.Choice(["square", "diamond"]))
+@click.argument("shape", type=click.Choice(list(generate.ELEMENTS)))
 @click.argument("size", type=int)
 @_output_opt
 def cmd_gen_se(shape: str, size: int, output: str) -> None:
     """Write a SIZE x SIZE origin-centered structuring element as RLE text."""
-    maker = generate.square_se if shape == "square" else generate.diamond_se
-    se = maker(size)
-    Path(output).write_text(write_rle_text(se))
+    Path(output).write_text(write_rle_text(generate.ELEMENTS[shape](size)))
 
 
 @cli.command("gen-image")
@@ -135,13 +113,13 @@ def cmd_gen_image(
         img = generate.random_image(width, height, density, seed)
     else:
         img = generate.blob_image(width, height, blob_count, min_size, max_size, seed)
-    _save(img, output, _guess_format(output, fmt), ImageFileMeta(width, height))
+    _save(img, output, fmt, ImageFileMeta(width, height))
 
 
 @cli.command("bench")
 @click.option("--image", "image_source", required=True,
               help="input path or synthetic spec like blobs:1024x1024:seed=1")
-@click.option("--se-shape", type=click.Choice(["square", "diamond", "file"]),
+@click.option("--se-shape", type=click.Choice([*generate.ELEMENTS, "file"]),
               default="square")
 @click.option("--se-sizes", default="3", help="comma-separated odd sizes")
 @click.option("--se-path", default=None, help="element file for --se-shape file")
@@ -184,7 +162,7 @@ def cmd_bench(
 def cmd_convert(input_path: str, output: str, fmt: str | None) -> None:
     """Loss-free conversion between PBM and RLE text."""
     img, meta = _load(input_path)
-    _save(img, output, _guess_format(output, fmt), meta)
+    _save(img, output, fmt, meta)
 
 
 def main(argv: list[str] | None = None) -> int:

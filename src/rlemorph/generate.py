@@ -23,6 +23,9 @@ def diamond_se(size: int) -> RleImage:
     return RleImage([(abs(y) - r, r - abs(y), y) for y in range(-r, r + 1)])
 
 
+ELEMENTS = {"square": square_se, "diamond": diamond_se}
+
+
 def _check_size(size: int) -> None:
     if size < 1 or size % 2 == 0:
         raise ValueError(f"size must be a positive odd integer, got {size}")

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rle import Rect, RleImage, _paint, from_raster, normalize
+from .rle import COORD_LIMIT, Rect, RleImage, _paint, from_raster, normalize
 
 
 @dataclass(frozen=True)
@@ -139,6 +139,8 @@ def read_rle_text(text: str) -> RleImage:
             raise RleTextParseError(f"non-integer token in {line!r}", lineno) from None
         if lx > rx:
             raise RleTextParseError(f"lx > rx in {line!r}", lineno)
+        if lx < -COORD_LIMIT or rx > COORD_LIMIT or abs(y) > COORD_LIMIT:
+            raise RleTextParseError(f"coordinate beyond +-2**61 in {line!r}", lineno)
         runs.append((lx, rx, y))
     return normalize(runs)
 

@@ -24,7 +24,7 @@ distance tables as zero-copy memoryviews.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -152,12 +152,9 @@ def build_tables(x: RleImage, l_min: int, l_max: int) -> ErosionTables:
 
 
 def erode_check_at(tables: ErosionTables, skel: SkeletonTable, h: Point) -> bool:
-    """True iff the anchored element fits at h, checked via skeleton probes
-    against the left distances.  Probes off every kept run read as 0."""
-    for (sx, sy), depth in skel.entries:
-        if tables.distances(h.x + sx, h.y + sy)[0] < depth:
-            return False
-    return True
+    """True iff the anchored element fits at h: the scan kernel run on h
+    alone hits.  Probes off every kept run read as 0."""
+    return len(_scan(replace(tables, x_cut=RleImage([(h.x, h.x, h.y)])), skel, None)) == 1
 
 
 def _scan_kernel(left, right, row_ptr, top, cut_lx, cut_rx, cut_y, sx, sy, depth,
@@ -178,11 +175,15 @@ def _scan_kernel(left, right, row_ptr, top, cut_lx, cut_rx, cut_y, sx, sy, depth
     cursor only moves forward; it is reset the first time the entry probes
     for a new row.  cur_y must start at a value no x_cut row has.
 
-    out_lx, out_rx and out_y receive the eroded runs in the anchored frame;
-    each run written is one hit.  When record is set, cand_x and cand_y
-    receive every candidate and jump_x, jump_y and jump_k every jump on
-    miss as (x, y, k); each needs room for as many items as x_cut has
-    pixels.
+    Each pass probes the entries at x in turn.  One that misses by k jumps
+    x by k and probes again until it fits or x leaves the run; the pass
+    ends there, and the next skips that entry, ver, which verified the new
+    x.  A pass in which every entry fits is a hit: it writes the run from x
+    to the nearest right end of the kept runs probed, in the anchored
+    frame, to out_lx, out_rx and out_y, and x moves past it.  When record
+    is set, cand_x and cand_y receive every candidate and jump_x, jump_y
+    and jump_k every jump on miss as (x, y, k); each needs room for as
+    many items as x_cut has pixels.
     """
     n_out = 0
     n_cand = 0
@@ -195,24 +196,19 @@ def _scan_kernel(left, right, row_ptr, top, cut_lx, cut_rx, cut_y, sx, sy, depth
         rx0 = cut_rx[ri]
         y0 = cut_y[ri]
         x = lx0
-        # (index, x) of an entry already verified at x by a jump that landed
-        # there; skipped when the entry pass restarts.
-        ver_idx = -1
-        ver_x = lx0 - 1
-        # A jump counts its landing as a candidate, so only the start of a
-        # run and the position after a hit are counted at the loop head.
-        fresh = True
+        ver = -1  # no entry has verified x yet
+        # A jump counts its landing as a candidate, so the loop head counts
+        # only the start of a run and the position after a hit (no miss).
+        miss = False
         while x <= rx0:
-            if fresh:
+            if not miss:
                 if record:
                     cand_x[n_cand] = x
                     cand_y[n_cand] = y0
                 n_cand += 1
             miss = False
-            diff = 0
-            idx = 0
             for idx in range(n_entries):
-                if idx == ver_idx and x == ver_x:
+                if idx == ver:
                     continue
                 if cur_y[idx] != y0:
                     cur_y[idx] = y0
@@ -251,16 +247,12 @@ def _scan_kernel(left, right, row_ptr, top, cut_lx, cut_rx, cut_y, sx, sy, depth
                     n_cand += 1
                 cur[idx] = c
                 if miss:
+                    ver = idx
                     break
-            if miss:
-                fresh = False
-                if x <= rx0 and diff <= 0:
-                    ver_idx = idx
-                    ver_x = x
-            else:
+            if not miss:
                 # Every entry's cursor now sits on the run that covers its probe.
-                min_dist = 1 << 60
-                for j in range(n_entries):
+                min_dist = right[cur[0]] - x - sx[0] + 1
+                for j in range(1, n_entries):
                     v = right[cur[j]] - x - sx[j] + 1
                     if v < min_dist:
                         min_dist = v
@@ -269,7 +261,7 @@ def _scan_kernel(left, right, row_ptr, top, cut_lx, cut_rx, cut_y, sx, sy, depth
                 out_y[n_out] = y0
                 n_out += 1
                 x += min_dist + 1
-                fresh = True
+                ver = -1
     return n_out, n_cand, n_probe, n_jump
 
 

@@ -67,15 +67,26 @@ class Rect:
         return Rect(self.l - dx, self.r + dx, self.t - dy, self.b + dy)
 
 
+# Coordinates lie within +-COORD_LIMIT: every sum the library forms then fits
+# int64, and a translation that wraps around lands outside and is rejected.
+COORD_LIMIT = 2**61
+
+
 def _as_runs(runs) -> np.ndarray:
     """The runs as a new (n, 3) int64 array; raises ValueError unless each
-    is a row (lx, rx, y) with lx <= rx."""
-    a = np.array(runs if isinstance(runs, np.ndarray) else list(runs),
-                 dtype=np.int64, order="C")
+    is a row (lx, rx, y) with lx <= rx and coordinates within COORD_LIMIT."""
+    runs = runs if isinstance(runs, np.ndarray) else list(runs)
+    try:
+        a = np.array(runs, dtype=np.int64, order="C")
+    except OverflowError:  # beyond int64: keep Python ints to name the run
+        a = np.array(runs, dtype=object)
     if a.shape == (0,):
         a = a.reshape(0, 3)
     if a.ndim != 2 or a.shape[1] != 3:
         raise ValueError(f"runs must be n rows of (lx, rx, y), got shape {a.shape}")
+    if a.size and (a.min() < -COORD_LIMIT or a.max() > COORD_LIMIT):
+        i = np.flatnonzero(((a < -COORD_LIMIT) | (a > COORD_LIMIT)).any(axis=1))[0]
+        raise ValueError(f"run {Run(*a[i].tolist())} has a coordinate beyond +-2**61")
     bad = np.flatnonzero(a[:, 0] > a[:, 1])
     if bad.size:
         raise ValueError(f"malformed run {Run(*a[bad[0]].tolist())}: lx > rx")

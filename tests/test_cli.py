@@ -225,6 +225,14 @@ class TestCliConvert:
         data = (tmp_path / "a.pbm").read_bytes()
         assert data == b"P1\n3 2\n1 1 0\n0 0 1\n"
 
+    @pytest.mark.parametrize("rx", [2**63 - 1, 2**63])
+    def test_coordinate_beyond_bound_exit_code(self, tmp_path, capsys, rx):
+        rle = tmp_path / "a.rle"
+        rle.write_text(f"0 0 {rx}\n")
+        assert main(["convert", str(rle), "-o", str(tmp_path / "b.rle")]) == 2
+        assert "(line 1)" in capsys.readouterr().err
+        assert not (tmp_path / "b.rle").exists()
+
     def test_empty_image_converts(self, tmp_path):
         rle = tmp_path / "a.rle"
         rle.write_text("")

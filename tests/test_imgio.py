@@ -166,6 +166,14 @@ class TestRleText:
         with pytest.raises(RleTextParseError, match="lx > rx"):
             read_rle_text("0 5 1\n")
 
+    @pytest.mark.parametrize("line", [
+        "0 0 9223372036854775807", "0 0 9223372036854775808", "0 -9223372036854775809 0",
+        f"{2**61 + 1} 0 0",
+    ], ids=["int64-max", "past-int64", "past-int64-min", "row"])
+    def test_coordinate_beyond_bound(self, line):
+        with pytest.raises(RleTextParseError, match=r"beyond \+-2\*\*61 .*\(line 1\)"):
+            read_rle_text(line + "\n")
+
     def test_wrong_arity(self):
         with pytest.raises(RleTextParseError):
             read_rle_text("0 1\n")

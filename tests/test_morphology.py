@@ -403,7 +403,7 @@ class TestScanKernel:
                              ids=["square5", "diamond7", "three-runs"])
     def test_huge_coordinates(self, v, se):
         # The kernel's arithmetic must agree on Python ints and int64 far
-        # from the origin, and stay clear of its 1 << 60 sentinel.
+        # from the origin.
         x = blob_image(64, 48, blobs=6, seed=11)
         far = translate(x, v)
         near_trace, far_trace = ErodeTrace(), ErodeTrace()
@@ -412,6 +412,16 @@ class TestScanKernel:
         assert (far_trace.candidates, far_trace.probes, len(far_trace.jumps)) == \
             (near_trace.candidates, near_trace.probes, len(near_trace.jumps))
         assert dilate(far, se) == translate(dilate(x, se), v)
+
+    @pytest.mark.parametrize("n", [2**60 - 2, 2**60, 2**60 + 5])
+    def test_runs_past_2_to_60(self, n):
+        # A hit's run ends at the nearest right end of the runs probed, with
+        # no cap.  Traced erosion is not run here: it records into buffers
+        # with one cell per x_cut pixel, 2**60 of them.
+        x = img((0, n, 0), (0, 3, 1))
+        assert erode(x, img((0, 0, 0))) == x
+        assert erode(x, img((0, 1, 0))) == img((0, n - 1, 0), (0, 2, 1))
+        assert dilate(x, img((0, 0, 0))) == x
 
     def test_backend_reported(self):
         expected = "numba" if importlib.util.find_spec("numba") else "python"

@@ -88,6 +88,21 @@ class TestRleImage:
         assert {a, b, EMPTY} == {a, EMPTY}
         assert copy.deepcopy(a) == pickle.loads(pickle.dumps(a)) == a
 
+    @pytest.mark.parametrize("runs", [
+        [(0, 2**70, 0)], [(-2**63, 0, 0)], [(0, 2**61 + 1, 0)], [(0, 0, -2**61 - 1)],
+        np.array([[0, 1, 0], [0, 2**62, 1]]),
+    ], ids=["past-int64", "int64-min", "right", "up", "array"])
+    def test_coordinates_beyond_bound_rejected(self, runs):
+        with pytest.raises(ValueError, match=r"coordinate beyond \+-2\*\*61"):
+            RleImage(runs)
+
+    def test_coordinate_bound(self):
+        edge = 2**61
+        a = img((-edge, edge, -edge), (0, 0, edge))
+        assert a.pixel_count() == 2**62 + 2
+        with pytest.raises(ValueError, match="beyond"):
+            translate(a, Point(2**62, 0))  # wraps past int64, lands below -2**61
+
     def test_read_only(self):
         source = np.array([[0, 3, 0]])
         a = RleImage(source)
