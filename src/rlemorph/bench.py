@@ -57,6 +57,8 @@ class BenchConfig:
     def __post_init__(self) -> None:
         if not self.se_sizes:
             raise BenchConfigError("se_sizes must not be empty")
+        if not self.algorithms:
+            raise BenchConfigError("algorithms must not be empty")
         if self.iterations < 1:
             raise BenchConfigError("iterations must be >= 1")
         if self.se_shape not in (*generate.ELEMENTS, "file"):

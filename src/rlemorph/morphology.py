@@ -14,13 +14,12 @@ complement with the reflected element, restricted to two exact
 rectangles.
 
 One kernel, ``_scan_kernel``, does the scan for traced and untraced
-erosion alike: it always counts candidates, probes, jumps and hits and
-returns the counts with the number of eroded runs; it records candidate
-positions and jumps only when asked.  It takes 1-D columns only.  With
-numba it is compiled and every column is an int64 array (``BACKEND ==
-"numba"``); without it the same source runs on Python ints (``BACKEND ==
-"python"``): it reads the ``x_cut`` and skeleton columns as lists and the
-distance tables as zero-copy memoryviews.
+erosion alike: it counts probes and jumps, returns the counts with the
+number of eroded runs, and records as many jumps as it is given room for.
+It takes 1-D columns only.  With numba it is compiled and every column is
+an int64 array (``BACKEND == "numba"``); without it the same source runs
+on Python ints (``BACKEND == "python"``): it reads the ``x_cut`` and
+skeleton columns as lists and the distance tables as zero-copy memoryviews.
 """
 from __future__ import annotations
 
@@ -107,15 +106,23 @@ class ErodeTrace:
 
     Coordinates are in the anchored (pre-final-translation) frame:
     a candidate h means the element translated by -anchor_q was probed at h.
+    Every candidate ends in exactly one jump or one hit.
     """
 
-    candidates: int = 0
     probes: int = 0
     # (x, y, k): probe at (x, y) missed with deficit k; (x..x+k-1, y) skipped.
     jumps: list[tuple[int, int, int]] = field(default_factory=list)
     # (x, y, n): hit at (x, y) emitted a run of length n.
     hits: list[tuple[int, int, int]] = field(default_factory=list)
-    candidate_positions: list[tuple[int, int]] = field(default_factory=list)
+
+    @property
+    def candidates(self) -> int:
+        return len(self.jumps) + len(self.hits)
+
+    @property
+    def candidate_positions(self) -> list[tuple[int, int]]:
+        """(x, y) of every jump and hit, in (y, x) order."""
+        return sorted(((x, y) for x, y, _ in self.jumps + self.hits), key=lambda p: (p[1], p[0]))
 
 
 def generate_skeleton(se: RleImage) -> SkeletonTable:
@@ -158,15 +165,14 @@ def erode_check_at(tables: ErosionTables, skel: SkeletonTable, h: Point) -> bool
 
 
 def _scan_kernel(left, right, row_ptr, top, cut_lx, cut_rx, cut_y, sx, sy, depth,
-                 cur, end, cur_y, out_lx, out_rx, out_y, record,
-                 cand_x, cand_y, jump_x, jump_y, jump_k):
-    """Jump scan of x_cut; returns (runs written, candidates, probes, jumps).
+                 cur, end, cur_y, out_lx, out_rx, out_y, jump_x, jump_y, jump_k):
+    """Jump scan of x_cut; returns (runs written, probes, jumps).
 
-    Every argument but top and record is a 1-D column of ints: an int64
-    array under numba, a list or memoryview when interpreted.  x_cut's runs
-    come as cut_lx, cut_rx and cut_y, the skeleton's entries as sx, sy (the
-    offset of the run's rightmost pixel from the anchor) and depth (the
-    run's length).
+    Every argument but top is a 1-D column of ints: an int64 array under
+    numba, a list or memoryview when interpreted.  x_cut's runs come as
+    cut_lx, cut_rx and cut_y, the skeleton's entries as sx, sy (the offset
+    of the run's rightmost pixel from the anchor) and depth (the run's
+    length).
 
     Each skeleton entry keeps a cursor into the kept runs of the row it
     probes: cur is the first run whose rx is at or right of the probe, end
@@ -180,15 +186,15 @@ def _scan_kernel(left, right, row_ptr, top, cut_lx, cut_rx, cut_y, sx, sy, depth
     ends there, and the next skips that entry, ver, which verified the new
     x.  A pass in which every entry fits is a hit: it writes the run from x
     to the nearest right end of the kept runs probed, in the anchored
-    frame, to out_lx, out_rx and out_y, and x moves past it.  When record
-    is set, cand_x and cand_y receive every candidate and jump_x, jump_y
-    and jump_k every jump on miss as (x, y, k); each needs room for as
-    many items as x_cut has pixels.
+    frame, to out_lx, out_rx and out_y, and x moves past it.  Every
+    candidate x the scan examines ends in exactly one jump or one hit.
+    The first len(jump_x) jumps on miss go to jump_x, jump_y and jump_k as
+    (x, y, k).
     """
     n_out = 0
-    n_cand = 0
     n_probe = 0
     n_jump = 0
+    n_rec = len(jump_x)
     n_rows = len(row_ptr) - 1
     n_entries = len(sx)
     for ri in range(len(cut_lx)):
@@ -197,15 +203,7 @@ def _scan_kernel(left, right, row_ptr, top, cut_lx, cut_rx, cut_y, sx, sy, depth
         y0 = cut_y[ri]
         x = lx0
         ver = -1  # no entry has verified x yet
-        # A jump counts its landing as a candidate, so the loop head counts
-        # only the start of a run and the position after a hit (no miss).
-        miss = False
         while x <= rx0:
-            if not miss:
-                if record:
-                    cand_x[n_cand] = x
-                    cand_y[n_cand] = y0
-                n_cand += 1
             miss = False
             for idx in range(n_entries):
                 if idx == ver:
@@ -233,7 +231,7 @@ def _scan_kernel(left, right, row_ptr, top, cut_lx, cut_rx, cut_y, sx, sy, depth
                     if diff <= 0:
                         break
                     miss = True
-                    if record:
+                    if n_jump < n_rec:
                         jump_x[n_jump] = x
                         jump_y[n_jump] = y0
                         jump_k[n_jump] = diff
@@ -241,10 +239,6 @@ def _scan_kernel(left, right, row_ptr, top, cut_lx, cut_rx, cut_y, sx, sy, depth
                     x += diff
                     if x > rx0:
                         break
-                    if record:
-                        cand_x[n_cand] = x
-                        cand_y[n_cand] = y0
-                    n_cand += 1
                 cur[idx] = c
                 if miss:
                     ver = idx
@@ -262,7 +256,7 @@ def _scan_kernel(left, right, row_ptr, top, cut_lx, cut_rx, cut_y, sx, sy, depth
                 n_out += 1
                 x += min_dist + 1
                 ver = -1
-    return n_out, n_cand, n_probe, n_jump
+    return n_out, n_probe, n_jump
 
 
 if _njit is not None:
@@ -273,38 +267,39 @@ else:
     # than numpy scalars.  Columns it walks in full (x_cut, the skeleton,
     # the cursors) go in as lists, the cheapest to index; the tables, of
     # which it may read only a few runs, and the outputs, written once per
-    # run, candidate or jump, go in as zero-copy memoryviews.
+    # run or jump, go in as zero-copy memoryviews.
     _walked = np.ndarray.tolist
     _viewed = memoryview
 
 
 def _scan(tables: ErosionTables, skel: SkeletonTable, trace: ErodeTrace | None) -> np.ndarray:
     """Jump scan of x_cut.  Returns the eroded runs in the anchored frame as
-    (lx, rx, y) rows and adds the scan's counts and events to trace."""
+    (lx, rx, y) rows and adds the scan's counts and events to trace.  A
+    traced scan runs twice: once to count the jumps, once to record them."""
     cut = tables.x_cut.array
-    entries = np.array([(s.x, s.y, depth) for s, depth in skel.entries], dtype=np.int64)
-    n_entries = len(entries)
-    n_px = int((cut[:, 1] - cut[:, 0] + 1).sum())
-    n_rec = n_px if trace is not None else 0
+    entries = np.array([(s.x, s.y, depth) for s, depth in skel.entries], dtype=np.int64).T
     # Each output run ends where some entry's probed run ends, and one
-    # (entry, kept run) pair ends at most one output run.
-    out = np.empty((3, min(n_px, n_entries * len(tables.left))), dtype=np.int64)
-    cand = np.empty((2, n_rec), dtype=np.int64)
-    jump = np.empty((3, n_rec), dtype=np.int64)
-    cur = np.zeros(n_entries, dtype=np.int64)
-    end = np.zeros(n_entries, dtype=np.int64)
-    cur_y = np.full(n_entries, cut[0, 2] - 1 if len(cut) else 0, dtype=np.int64)
+    # (entry, kept run) pair ends at most one output run.  Clipping each
+    # x_cut run's pixel count to that bound keeps the sum from wrapping.
+    cap = entries.shape[1] * len(tables.left)
+    n_px = int(np.minimum(cut[:, 1] - cut[:, 0] + 1, cap).sum())
+    out = np.empty((3, min(n_px, cap)), dtype=np.int64)
     w, v = _walked, _viewed
-    n, n_cand, n_probe, n_jump = _scan_kernel(
-        v(tables.left), v(tables.right), v(tables.row_ptr), tables.top,
-        *map(w, cut.T), *map(w, entries.T), w(cur), w(end), w(cur_y),
-        *map(v, out), trace is not None, *map(v, cand), *map(v, jump))
+
+    def run(jump: np.ndarray) -> tuple[int, int, int]:
+        cursors = np.zeros(entries.shape, dtype=np.int64)
+        cursors[2] = cut[0, 2] - 1 if len(cut) else 0
+        return _scan_kernel(
+            v(tables.left), v(tables.right), v(tables.row_ptr), tables.top,
+            *map(w, cut.T), *map(w, entries), *map(w, cursors), *map(v, out), *map(v, jump))
+
+    n, n_probe, n_jump = run(np.empty((3, 0), dtype=np.int64))
     runs = out[:, :n].T
     if trace is not None:
-        trace.candidates += n_cand
+        jump = np.empty((3, n_jump), dtype=np.int64)
+        run(jump)
         trace.probes += n_probe
-        trace.candidate_positions.extend(zip(*cand[:, :n_cand].tolist()))
-        trace.jumps.extend(zip(*jump[:, :n_jump].tolist()))
+        trace.jumps.extend(zip(*jump.tolist()))
         trace.hits.extend((lx, y, rx - lx + 1) for lx, rx, y in runs.tolist())
     return runs
 

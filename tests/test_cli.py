@@ -244,6 +244,8 @@ class TestBench:
     def test_config_validation(self):
         with pytest.raises(BenchConfigError):
             BenchConfig(image_source="x", se_sizes=())
+        with pytest.raises(BenchConfigError, match="algorithms"):
+            BenchConfig(image_source="x", algorithms=())
         with pytest.raises(BenchConfigError):
             BenchConfig(image_source="x", iterations=0)
         with pytest.raises(BenchConfigError):
@@ -420,6 +422,13 @@ class TestBench:
         code = main(["bench", "--image", "random:8x8:seed=1", "--se-sizes", "",
                      "--csv", str(tmp_path / "b.csv")])
         assert code == 1
+        assert not (tmp_path / "b.csv").exists()
+
+    def test_cli_bench_empty_algos(self, tmp_path, capsys):
+        code = main(["bench", "--image", "random:8x8:seed=1", "--algos", " , ",
+                     "--csv", str(tmp_path / "b.csv")])
+        assert code == 1
+        assert "algorithms must not be empty" in capsys.readouterr().err
         assert not (tmp_path / "b.csv").exists()
 
 

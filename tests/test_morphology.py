@@ -416,12 +416,27 @@ class TestScanKernel:
     @pytest.mark.parametrize("n", [2**60 - 2, 2**60, 2**60 + 5])
     def test_runs_past_2_to_60(self, n):
         # A hit's run ends at the nearest right end of the runs probed, with
-        # no cap.  Traced erosion is not run here: it records into buffers
-        # with one cell per x_cut pixel, 2**60 of them.
+        # no cap, and a trace holds one row per jump or hit, not per pixel.
         x = img((0, n, 0), (0, 3, 1))
         assert erode(x, img((0, 0, 0))) == x
         assert erode(x, img((0, 1, 0))) == img((0, n - 1, 0), (0, 2, 1))
         assert dilate(x, img((0, 0, 0))) == x
+        tracemalloc.start()
+        try:
+            traced = erode(x, img((0, 1, 0)), ErodeTrace())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert traced == erode(x, img((0, 1, 0)))
+        assert peak < 2**20
+
+    @pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
+    def test_x_cut_pixels_past_int64(self, traced):
+        # Three runs of 2**62 + 1 pixels: their pixel sum does not fit int64.
+        x = img(*[(-(2**61), 2**61, y) for y in range(3)])
+        for se, expected in [(img((0, 0, 0)), x),
+                             (img((0, 1, 0)), img(*[(-(2**61), 2**61 - 1, y) for y in range(3)]))]:
+            assert erode(x, se, ErodeTrace() if traced else None) == expected
 
     def test_backend_reported(self):
         expected = "numba" if importlib.util.find_spec("numba") else "python"
