@@ -2,7 +2,7 @@
 """Show the pixel-skipping behaviour of the jump scan on a small example.
 
 Erodes a random image with a square element while collecting the
-instrumentation trace, then prints the backend of the scan kernel, the
+instrumentation trace, then prints the backend of the scan, the
 size of the run-indexed distance tables, how many candidate positions were
 actually probed versus the total pixel count, and the jump/hit events.
 

@@ -5,21 +5,21 @@ longest run, reduces it to a skeleton (one entry per run: the rightmost
 pixel plus the run length), and scans only the trimmed input ``x_cut``
 using left/right distance tables.  The tables are indexed by run, not by
 pixel: inside a run the distances to its two ends follow from the run's
-``lx`` and ``rx``, so the tables store those ends, row by row, and cost
-O(runs + rows) whatever the width of the image.  A failed probe with
-deficit k lets the scan jump k candidates to the right (jump on miss); a
-successful probe yields the full eroded run from the minimum right
-distance over the skeleton (jump on hit).  Dilation is erosion of the
-complement with the reflected element, restricted to two exact
-rectangles.
+``lx`` and ``rx``, so the tables store those ends, grouped by the rows
+that have kept runs, and cost O(runs) whatever the size of the image's
+bounding box.  A failed probe with deficit k lets the scan jump k
+candidates to the right (jump on miss); a successful probe yields the
+full eroded run from the minimum right distance over the skeleton (jump
+on hit).  Dilation is erosion of the complement with the reflected
+element, restricted to two exact rectangles.
 
-One kernel, ``_scan_kernel``, does the scan for traced and untraced
-erosion alike: it counts probes and jumps, returns the counts with the
-number of eroded runs, and records as many jumps as it is given room for.
-It takes 1-D columns only.  With numba it is compiled and every column is
-an int64 array (``BACKEND == "numba"``); without it the same source runs
-on Python ints (``BACKEND == "python"``): it reads the ``x_cut`` and
-skeleton columns as lists and the distance tables as zero-copy memoryviews.
+One scan, ``_scan``, serves traced and untraced erosion alike.  It moves
+every ``x_cut`` run forward in lockstep with numpy: each round probes
+every skeleton entry of every unfinished run at once, and each run then
+jumps by its largest deficit or, where no entry misses, emits a hit.  A
+probe in a gap misses until the next kept run of its row is deep enough,
+or past the row's last kept run to the end of the ``x_cut`` run, so a gap
+costs one probe, not one per pixel.
 """
 from __future__ import annotations
 
@@ -42,13 +42,12 @@ from .rle import (
 JUMP_SET = (Point(-1, 0), Point(0, 0))
 
 
-try:
-    from numba import njit as _njit
-except ImportError:  # pragma: no cover - numba is an optional accelerator
-    _njit = None
+# What runs the scan: numpy array operations driven from Python.
+BACKEND = "python"
 
-# Which backend runs the scan kernel: "numba" (compiled) or "python".
-BACKEND = "python" if _njit is None else "numba"
+# The scan holds (run x entry) arrays of at most this many cells at once,
+# taking x_cut's runs in chunks, so its memory stays bounded by the runs.
+_CHUNK_CELLS = 1 << 18
 
 
 class EmptyStructuringElementError(ValueError):
@@ -76,23 +75,24 @@ class ErosionTables:
     """Run-indexed left/right distance tables plus the trimmed image x_cut.
 
     left and right hold lx and rx of every input run at least l_min long,
-    in (y, lx) order.  The kept runs of row y are left[i] and right[i] for
-    row_ptr[y - top] <= i < row_ptr[y - top + 1]; row_ptr has one entry per
-    row of the input's bounding box plus one.  For the kept run that covers
-    pixel x, the left distance is x - lx + 1 and the right distance
-    rx - x + 1; both are 0 where no kept run covers x.
+    in (y, lx) order.  rows holds the distinct y of those kept runs, in
+    order, and the kept runs of row rows[r] are left[i] and right[i] for
+    row_ptr[r] <= i < row_ptr[r + 1]; rows without kept runs take no
+    space.  For the kept run that covers pixel x, the left distance is
+    x - lx + 1 and the right distance rx - x + 1; both are 0 where no kept
+    run covers x.
     """
 
     left: np.ndarray
     right: np.ndarray
+    rows: np.ndarray
     row_ptr: np.ndarray
-    top: int
     x_cut: RleImage
 
     def distances(self, x: int, y: int) -> tuple[int, int]:
         """(left, right) distance at pixel (x, y)."""
-        r = y - self.top
-        if 0 <= r < len(self.row_ptr) - 1:
+        r = int(np.searchsorted(self.rows, y))
+        if r < len(self.rows) and self.rows[r] == y:
             lo, hi = self.row_ptr[r], self.row_ptr[r + 1]
             k = lo + int(np.searchsorted(self.right[lo:hi], x))
             if k < hi and self.left[k] <= x:
@@ -109,8 +109,10 @@ class ErodeTrace:
     Every candidate ends in exactly one jump or one hit.
     """
 
+    # Skeleton entries probed, all of them at every candidate.
     probes: int = 0
-    # (x, y, k): probe at (x, y) missed with deficit k; (x..x+k-1, y) skipped.
+    # (x, y, k): the candidate at (x, y) missed, k its largest deficit over
+    # the entries; (x..x+k-1, y) skipped.
     jumps: list[tuple[int, int, int]] = field(default_factory=list)
     # (x, y, n): hit at (x, y) emitted a run of length n.
     hits: list[tuple[int, int, int]] = field(default_factory=list)
@@ -150,158 +152,100 @@ def build_tables(x: RleImage, l_min: int, l_max: int) -> ErosionTables:
         raise ValueError(f"need 1 <= l_min <= l_max, got {l_min}, {l_max}")
     runs = x.array
     lengths = runs[:, 1] - runs[:, 0] + 1
-    kept = runs[lengths >= l_min]
-    top, bottom = (int(runs[0, 2]), int(runs[-1, 2])) if len(runs) else (0, -1)
-    row_ptr = np.searchsorted(kept[:, 2], np.arange(top, bottom + 2))
-    cut = runs[lengths >= l_max]
+    kept = runs.compress(lengths >= l_min, axis=0)
+    # Kept runs are in (y, lx) order, so each row's runs start where y changes.
+    y = kept[:, 2]
+    row_start = np.ones(len(y), dtype=bool)
+    row_start[1:] = y[1:] != y[:-1]
+    starts = np.flatnonzero(row_start)
+    cut = runs.compress(lengths >= l_max, axis=0)
     cut[:, 0] += l_max - 1
-    return ErosionTables(kept[:, 0].copy(), kept[:, 1].copy(), row_ptr, top, RleImage(cut))
+    return ErosionTables(kept[:, 0].copy(), kept[:, 1].copy(), y[starts],
+                         np.append(starts, len(y)), RleImage(cut))
 
 
 def erode_check_at(tables: ErosionTables, skel: SkeletonTable, h: Point) -> bool:
-    """True iff the anchored element fits at h: the scan kernel run on h
-    alone hits.  Probes off every kept run read as 0."""
+    """True iff the anchored element fits at h: the scan run on h alone
+    hits.  Probes off every kept run read as 0."""
     return len(_scan(replace(tables, x_cut=RleImage([(h.x, h.x, h.y)])), skel, None)) == 1
-
-
-def _scan_kernel(left, right, row_ptr, top, cut_lx, cut_rx, cut_y, sx, sy, depth,
-                 cur, end, cur_y, out_lx, out_rx, out_y, jump_x, jump_y, jump_k):
-    """Jump scan of x_cut; returns (runs written, probes, jumps).
-
-    Every argument but top is a 1-D column of ints: an int64 array under
-    numba, a list or memoryview when interpreted.  x_cut's runs come as
-    cut_lx, cut_rx and cut_y, the skeleton's entries as sx, sy (the offset
-    of the run's rightmost pixel from the anchor) and depth (the run's
-    length).
-
-    Each skeleton entry keeps a cursor into the kept runs of the row it
-    probes: cur is the first run whose rx is at or right of the probe, end
-    the end of that row's runs, cur_y the x_cut row the cursor was set for.
-    Within an x_cut row the probes of one entry only move right, so its
-    cursor only moves forward; it is reset the first time the entry probes
-    for a new row.  cur_y must start at a value no x_cut row has.
-
-    Each pass probes the entries at x in turn.  One that misses by k jumps
-    x by k and probes again until it fits or x leaves the run; the pass
-    ends there, and the next skips that entry, ver, which verified the new
-    x.  A pass in which every entry fits is a hit: it writes the run from x
-    to the nearest right end of the kept runs probed, in the anchored
-    frame, to out_lx, out_rx and out_y, and x moves past it.  Every
-    candidate x the scan examines ends in exactly one jump or one hit.
-    The first len(jump_x) jumps on miss go to jump_x, jump_y and jump_k as
-    (x, y, k).
-    """
-    n_out = 0
-    n_probe = 0
-    n_jump = 0
-    n_rec = len(jump_x)
-    n_rows = len(row_ptr) - 1
-    n_entries = len(sx)
-    for ri in range(len(cut_lx)):
-        lx0 = cut_lx[ri]
-        rx0 = cut_rx[ri]
-        y0 = cut_y[ri]
-        x = lx0
-        ver = -1  # no entry has verified x yet
-        while x <= rx0:
-            miss = False
-            for idx in range(n_entries):
-                if idx == ver:
-                    continue
-                if cur_y[idx] != y0:
-                    cur_y[idx] = y0
-                    r = y0 + sy[idx] - top
-                    if 0 <= r < n_rows:
-                        cur[idx] = row_ptr[r]
-                        end[idx] = row_ptr[r + 1]
-                    else:
-                        cur[idx] = 0
-                        end[idx] = 0
-                c = cur[idx]
-                e = end[idx]
-                dx = sx[idx]
-                d = depth[idx]
-                while True:
-                    px = x + dx
-                    while c < e and right[c] < px:
-                        c += 1
-                    v = px - left[c] + 1 if c < e and left[c] <= px else 0
-                    n_probe += 1
-                    diff = d - v
-                    if diff <= 0:
-                        break
-                    miss = True
-                    if n_jump < n_rec:
-                        jump_x[n_jump] = x
-                        jump_y[n_jump] = y0
-                        jump_k[n_jump] = diff
-                    n_jump += 1
-                    x += diff
-                    if x > rx0:
-                        break
-                cur[idx] = c
-                if miss:
-                    ver = idx
-                    break
-            if not miss:
-                # Every entry's cursor now sits on the run that covers its probe.
-                min_dist = right[cur[0]] - x - sx[0] + 1
-                for j in range(1, n_entries):
-                    v = right[cur[j]] - x - sx[j] + 1
-                    if v < min_dist:
-                        min_dist = v
-                out_lx[n_out] = x
-                out_rx[n_out] = x + min_dist - 1
-                out_y[n_out] = y0
-                n_out += 1
-                x += min_dist + 1
-                ver = -1
-    return n_out, n_probe, n_jump
-
-
-if _njit is not None:
-    _scan_kernel = _njit(cache=True)(_scan_kernel)
-    _walked = _viewed = np.asarray
-else:
-    # The interpreted kernel reads Python ints, far cheaper to work with
-    # than numpy scalars.  Columns it walks in full (x_cut, the skeleton,
-    # the cursors) go in as lists, the cheapest to index; the tables, of
-    # which it may read only a few runs, and the outputs, written once per
-    # run or jump, go in as zero-copy memoryviews.
-    _walked = np.ndarray.tolist
-    _viewed = memoryview
 
 
 def _scan(tables: ErosionTables, skel: SkeletonTable, trace: ErodeTrace | None) -> np.ndarray:
     """Jump scan of x_cut.  Returns the eroded runs in the anchored frame as
-    (lx, rx, y) rows and adds the scan's counts and events to trace.  A
-    traced scan runs twice: once to count the jumps, once to record them."""
+    (lx, rx, y) rows and adds the scan's counts and events to trace."""
     cut = tables.x_cut.array
-    entries = np.array([(s.x, s.y, depth) for s, depth in skel.entries], dtype=np.int64).T
-    # Each output run ends where some entry's probed run ends, and one
-    # (entry, kept run) pair ends at most one output run.  Clipping each
-    # x_cut run's pixel count to that bound keeps the sum from wrapping.
-    cap = entries.shape[1] * len(tables.left)
-    n_px = int(np.minimum(cut[:, 1] - cut[:, 0] + 1, cap).sum())
-    out = np.empty((3, min(n_px, cap)), dtype=np.int64)
-    w, v = _walked, _viewed
-
-    def run(jump: np.ndarray) -> tuple[int, int, int]:
-        cursors = np.zeros(entries.shape, dtype=np.int64)
-        cursors[2] = cut[0, 2] - 1 if len(cut) else 0
-        return _scan_kernel(
-            v(tables.left), v(tables.right), v(tables.row_ptr), tables.top,
-            *map(w, cut.T), *map(w, entries), *map(w, cursors), *map(v, out), *map(v, jump))
-
-    n, n_probe, n_jump = run(np.empty((3, 0), dtype=np.int64))
-    runs = out[:, :n].T
+    if not len(cut) or not len(tables.left):  # with no kept run nothing fits
+        return np.empty((0, 3), dtype=np.int64)
+    sx, sy, depth = np.array([(s.x, s.y, d) for s, d in skel.entries], dtype=np.int64).T
+    step = max(1, _CHUNK_CELLS // len(sx))
+    runs = np.concatenate([_scan_chunk(tables, cut[i:i + step], sx, sy, depth, trace)
+                           for i in range(0, len(cut), step)])
     if trace is not None:
-        jump = np.empty((3, n_jump), dtype=np.int64)
-        run(jump)
-        trace.probes += n_probe
-        trace.jumps.extend(zip(*jump.tolist()))
         trace.hits.extend((lx, y, rx - lx + 1) for lx, rx, y in runs.tolist())
     return runs
+
+
+def _scan_chunk(tables: ErosionTables, cut: np.ndarray, sx: np.ndarray, sy: np.ndarray,
+                depth: np.ndarray, trace: ErodeTrace | None) -> np.ndarray:
+    """Scan some x_cut runs in lockstep; returns their hits in (y, x) order.
+
+    Each (run, entry) pair keeps a cursor c into the kept runs of the row
+    the entry probes and the end e of that row's runs (c == e if it has
+    none).  A run's candidates only move right, so c only moves forward:
+    each round moves it to the first kept run that ends at or right of the
+    probe px = x + sx.  The entry's deficit is then left[c] + d - 1 - px,
+    d its depth, whether px lies in that run or in the gap before it; past
+    the row's last kept run it is rx0 - x + 1, rx0 the x_cut run's end.
+    The entry fits where its deficit is at most 0, and otherwise misses at
+    every position short of x plus the deficit.  A run with a miss jumps
+    by its largest deficit; a run without one emits the hit from x to the
+    nearest right end of the kept runs probed, and x moves past it.  Runs
+    past their end drop out.
+    """
+    left, right = tables.left, tables.right
+    x, rx0, y0 = cut.T.copy()
+    run = np.arange(len(x))
+    probed_y = y0[:, None] + sy
+    c = tables.row_ptr[np.searchsorted(tables.rows, probed_y)]
+    e = tables.row_ptr[np.searchsorted(tables.rows, probed_y, side="right")]
+    hits, jumps, n_probe = [np.empty((4, 0), dtype=np.int64)], [], 0
+    while len(x):
+        px = x[:, None] + sx
+        late = (c < e) & (right.take(c, mode="clip") < px)
+        if late.any():
+            c[late] = _lower_bound(right, c[late] + 1, e[late], px[late])
+        diff = np.where(c < e, left.take(c, mode="clip") + depth - 1 - px,
+                        (rx0 - x + 1)[:, None])
+        n_probe += diff.size
+        k = diff.max(axis=1)
+        hit = k <= 0
+        if trace is not None:
+            jumps.append(np.stack([run, x, y0, k])[:, ~hit])
+        if hit.any():
+            n = (right[c[hit]] - px[hit]).min(axis=1) + 1
+            hits.append(np.stack([run[hit], x[hit], x[hit] + n - 1, y0[hit]]))
+            k[hit] = n + 1  # past the hit and the miss that ends it
+        x += k
+        if (x > rx0).any():
+            live = x <= rx0
+            x, rx0, y0, run, c, e = x[live], rx0[live], y0[live], run[live], c[live], e[live]
+    hits = np.concatenate(hits, axis=1)
+    if trace is not None:
+        trace.probes += n_probe
+        jumps = np.concatenate(jumps, axis=1)
+        trace.jumps.extend(zip(*jumps[1:, np.argsort(jumps[0], kind="stable")].tolist()))
+    return hits[1:, np.argsort(hits[0], kind="stable")].T
+
+
+def _lower_bound(a: np.ndarray, lo: np.ndarray, hi: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Elementwise first i in [lo, hi) with a[i] >= v, or hi; a is sorted.
+    Each step adds a power of two to lo while a[lo + step - 1] < v."""
+    step = 1 << int((hi - lo).max()).bit_length()
+    while step > 1:
+        step >>= 1
+        last = lo + (step - 1)
+        lo += step * ((last < hi) & (a.take(last, mode="clip") < v))
+    return lo
 
 
 def erode(x: RleImage, se: RleImage, trace: ErodeTrace | None = None) -> RleImage:
