@@ -18,7 +18,7 @@ from typing import Callable
 
 from . import generate, morphology, oracle
 from .imgio import read_image
-from .rle import RleImage
+from .rle import RleImage, normalize
 
 CSV_FIELDS = [
     "algorithm",
@@ -76,11 +76,23 @@ class BenchConfig:
 _SYNTH_RE = re.compile(
     r"^(random|blobs):(\d+)x(\d+)(?::density=([0-9.]+))?(?::seed=(\d+))?$"
 )
+# Images of a few runs whose bounding box grows with one parameter, so a
+# sweep over it shows whether a cost follows the runs or the box.
+_RUNS_RE = re.compile(r"^(sparse|gap|tall):(\d+)$")
+_RUNS_IMAGES = {
+    # two 10x3 blocks at (0, 0) and (s, s)
+    "sparse": lambda s: [(dx, dx + 9, dx + y) for dx in (0, s) for y in range(3)],
+    # two rows w + 1 wide over a 6-wide row: gaps an erosion must cross
+    "gap": lambda w: [(0, w, 0), (0, w, 1), (0, 5, 2)],
+    # two 6-wide runs h rows apart
+    "tall": lambda h: [(0, 5, 0), (0, 5, h)],
+}
 
 
 def load_image_source(source: str) -> RleImage:
-    """A file path, or a synthetic spec like 'blobs:1024x1024:seed=1' or
-    'random:256x256:density=0.4:seed=7'."""
+    """A file path, or a synthetic spec: 'blobs:1024x1024:seed=1',
+    'random:256x256:density=0.4:seed=7', or one of the few-run images
+    'sparse:S', 'gap:W' and 'tall:H'."""
     m = _SYNTH_RE.match(source)
     if m:
         kind, w, h, density, seed = m.groups()
@@ -89,6 +101,9 @@ def load_image_source(source: str) -> RleImage:
         if kind == "random":
             return generate.random_image(w, h, float(density or 0.5), seed)
         return generate.blob_image(w, h, seed=seed)
+    m = _RUNS_RE.match(source)
+    if m:
+        return normalize(_RUNS_IMAGES[m[1]](int(m[2])))
     return read_image(Path(source).read_bytes())[0]
 
 

@@ -118,7 +118,7 @@ def cmd_gen_image(
 
 @cli.command("bench")
 @click.option("--image", "image_source", required=True,
-              help="input path or synthetic spec like blobs:1024x1024:seed=1")
+              help="input path or synthetic spec like blobs:1024x1024:seed=1 or gap:1000000")
 @click.option("--se-shape", type=click.Choice([*generate.ELEMENTS, "file"]),
               default="square")
 @click.option("--se-sizes", default="3", help="comma-separated odd sizes")

@@ -206,8 +206,12 @@ def _scan_chunk(tables: ErosionTables, cut: np.ndarray, sx: np.ndarray, sy: np.n
     x, rx0, y0 = cut.T.copy()
     run = np.arange(len(x))
     probed_y = y0[:, None] + sy
-    c = tables.row_ptr[np.searchsorted(tables.rows, probed_y)]
-    e = tables.row_ptr[np.searchsorted(tables.rows, probed_y, side="right")]
+    # One search finds the probed row, or where it would be; e == c where
+    # no kept run lies in that row.
+    r = np.searchsorted(tables.rows, probed_y)
+    c = tables.row_ptr[r]
+    e = np.where(tables.rows.take(r, mode="clip") == probed_y,
+                 tables.row_ptr.take(r + 1, mode="clip"), c)
     hits, jumps, n_probe = [np.empty((4, 0), dtype=np.int64)], [], 0
     while len(x):
         px = x[:, None] + sx

@@ -197,21 +197,43 @@ def normalize(runs: Iterable[tuple[int, int, int]] | np.ndarray) -> RleImage:
     return _cover(a, np.ones(len(a), dtype=np.int64), 1)
 
 
+# from_raster pads and scans the grid in blocks of whole rows of about this
+# many cells, so that it never copies the whole grid and its temporaries stay
+# in cache.
+_RASTER_BLOCK_CELLS = 1 << 18
+
+
 def from_raster(grid, origin: Point = Point(0, 0)) -> RleImage:
     """Convert a 2D boolean array (indexed [row][col]) to a compact image.
 
     grid[j][i] is foreground iff point (origin.x + i, origin.y + j) is in
-    the image.
+    the image.  Any nonzero value counts as foreground.
     """
-    g = np.asarray(grid, dtype=bool)
+    g = np.asarray(grid)
+    if g.ndim != 2:
+        raise ValueError(f"grid must be 2-D, got shape {g.shape}")
     if g.size == 0:
         return EMPTY
-    # Run starts are +1 and run ends -1 in the padded rows' differences;
-    # row-major order pairs each start with its end.
-    zero = np.int8(0)
-    ys, xs = np.nonzero(np.diff(g.view(np.int8), axis=1, prepend=zero, append=zero))
-    return RleImage(np.column_stack((xs[0::2] + origin.x, xs[1::2] - 1 + origin.x,
-                                     ys[0::2] + origin.y)))
+    # Each row padded by a background cell on both sides, read as one flat
+    # sequence: the changes pair up as (run start, run end), in run order.
+    # Assigning into the padded rows casts to bool without another copy.
+    h, w = g.shape
+    rows = max(1, _RASTER_BLOCK_CELLS // (w + 2))
+    edges = []
+    for top in range(0, h, rows):
+        block = g[top : top + rows]
+        padded = np.zeros((len(block), w + 2), dtype=bool)
+        padded[:, 1:-1] = block
+        flat = padded.reshape(-1)
+        edges.append(np.flatnonzero(flat[1:] != flat[:-1]) + top * (w + 2))
+    # A start edge i lies just before the run's first cell, which is at grid
+    # column i mod (w + 2); the end edge lies on its last cell, so the run is
+    # end - start cells long.
+    edge = np.concatenate(edges)
+    start, end = edge[0::2], edge[1::2]
+    y = start // (w + 2)
+    lx = start - y * (w + 2) + origin.x
+    return RleImage(np.column_stack((lx, lx + (end - start - 1), y + origin.y)))
 
 
 def _paint(img: RleImage, rect: Rect) -> np.ndarray:

@@ -326,6 +326,10 @@ class TestBench:
         b = load_image_source("random:16x8:density=0.5:seed=3")
         assert a == b and not a.is_empty
         assert load_image_source("blobs:32x24:seed=4") == blob_image(32, 24, seed=4)
+        assert load_image_source("sparse:100") == img(
+            *[(s, s + 9, s + y) for s in (0, 100) for y in range(3)])
+        assert load_image_source("gap:1000") == img((0, 1000, 0), (0, 1000, 1), (0, 5, 2))
+        assert load_image_source("tall:7") == img((0, 5, 0), (0, 5, 7))
 
     def test_diamond_sweep(self):
         config = BenchConfig(image_source="blobs:32x24:seed=4", se_shape="diamond",
@@ -352,6 +356,13 @@ class TestBench:
         rows = list(csv.DictReader(io.StringIO(out.read_text())))
         assert len(rows) == 4
         assert all(r["status"] == "ok" for r in rows)
+
+    def test_cli_bench_gap_image(self, tmp_path):
+        # Three runs in a box a million wide: the scan crosses the gap in one jump.
+        out = tmp_path / "bench.csv"
+        assert main(["bench", "--image", "gap:1000000", "--csv", str(out)]) == 0
+        [row] = csv.DictReader(io.StringIO(out.read_text()))
+        assert (row["status"], row["runs_out"], row["pixels_out"]) == ("ok", "1", "4")
 
     def test_cli_bench_prints_one_table_line_per_row(self, tmp_path, capsys):
         out = tmp_path / "bench.csv"

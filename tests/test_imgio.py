@@ -9,12 +9,13 @@ from rlemorph.imgio import (
     PbmParseError,
     PbmWriteError,
     RleTextParseError,
+    _text_runs,
     read_pbm,
     read_rle_text,
     write_pbm,
     write_rle_text,
 )
-from rlemorph.rle import EMPTY, from_raster
+from rlemorph.rle import COORD_LIMIT, EMPTY, from_raster, normalize
 
 from helpers import img, random_rle_image
 
@@ -183,3 +184,110 @@ class TestRleText:
         for _ in range(60):
             image = random_rle_image(rng, 24, 24)
             assert read_rle_text(write_rle_text(image)) == image
+
+
+def read_rle_text_by_line(text):
+    """Reference for read_rle_text: the per-line reading it replaced, one
+    Python step per line, then normalize."""
+    runs = []
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        parts = stripped.split()
+        if len(parts) != 3:
+            raise RleTextParseError(f"expected 'y lx rx', got {line!r}", lineno)
+        try:
+            y, lx, rx = (int(p) for p in parts)
+        except ValueError:
+            raise RleTextParseError(f"non-integer token in {line!r}", lineno) from None
+        if lx > rx:
+            raise RleTextParseError(f"lx > rx in {line!r}", lineno)
+        if lx < -COORD_LIMIT or rx > COORD_LIMIT or abs(y) > COORD_LIMIT:
+            raise RleTextParseError(f"coordinate beyond +-2**61 in {line!r}", lineno)
+        runs.append((lx, rx, y))
+    return normalize(runs)
+
+
+# Pieces of fuzzed RLE text.  Every line break str.splitlines knows, and
+# whitespace that separates tokens but does not end a line.
+_BREAKS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+           "\u2028", "\u2029"]
+_SPACES = [" ", "  ", "\t", " \t ", "\xa0", "\u3000", "\x1f"]
+_BAD_TOKENS = ["a", "1.0", "0x1", "_1", "1__0", "1_", "\xb2", "--1", "+-1", "1#",
+               "#1", "\x00", "\ud800", "9" * 5000]
+_BIG = [2**61, -(2**61), 2**61 + 1, -(2**61) - 1, 2**63 - 1, 2**63, -(2**63),
+        -(2**63) - 1, 10**30]
+
+
+def _spell(rng, v):
+    """A token int() reads as v: signs, '_' and non-ASCII digits."""
+    digits = str(abs(v))
+    if len(digits) > 1 and rng.random() < 0.1:
+        i = rng.randint(1, len(digits) - 1)
+        digits = digits[:i] + "_" + digits[i:]
+    if rng.random() < 0.1:
+        zero = rng.choice([0x660, 0x966, 0xFF10])  # Arabic-Indic, Devanagari, fullwidth
+        digits = "".join(chr(zero + int(d)) if d != "_" else d for d in digits)
+    if rng.random() < 0.05:
+        digits = "00" + digits
+    sign = "-" if v < 0 else rng.choice(["", "", "", "+"])
+    return sign + digits
+
+
+def _fuzz_line(rng, bad):
+    kind = rng.random()
+    if kind < 0.1:
+        return rng.choice(["", *_SPACES])
+    if kind < 0.2:
+        words = [rng.choice(["0", "1 2 3", "x", "#", "a b"]) for _ in range(rng.randint(0, 3))]
+        return rng.choice(["", " ", "\t"]) + "#" + rng.choice(_SPACES).join(words)
+    value = lambda: rng.choice(_BIG) if rng.random() < 0.03 else rng.randint(-6, 12)
+    y, lx = value(), value()
+    rx = lx + rng.randint(0, 6) if rng.random() < 0.95 else value()
+    tokens = [_spell(rng, v) for v in (y, lx, rx)]
+    if bad:
+        fault = rng.random()
+        if fault < 0.3:
+            tokens[rng.randrange(3)] = rng.choice(_BAD_TOKENS)
+        elif fault < 0.5:
+            i = rng.randrange(3)
+            del tokens[i:i + rng.randint(1, 2)]
+        elif fault < 0.7:
+            tokens.insert(rng.randrange(4), _spell(rng, value()))
+        elif fault < 0.85:
+            tokens[1], tokens[2] = _spell(rng, lx + 1), _spell(rng, lx)
+        else:
+            tokens[rng.randrange(3)] = _spell(rng, rng.choice(_BIG))
+    pad = lambda: rng.choice(["", "", *_SPACES])
+    return pad() + "".join(t + rng.choice(_SPACES) for t in tokens[:-1]) + tokens[-1] + pad()
+
+
+def _fuzz_text(rng):
+    faulty = rng.random() < 0.5
+    lines = [_fuzz_line(rng, faulty and rng.random() < 0.2) for _ in range(rng.randint(0, 10))]
+    text = "".join(line + rng.choice(_BREAKS) for line in lines)
+    return text if rng.random() < 0.8 else text.rstrip("\n")
+
+
+# Lines of wrong arity whose tokens add up to whole runs.
+_ARITY = ["0 1\n2\n", "0 1 2 3 4 5\n", "0\n1 2\n", "0 1 2 3\n4 5\n", "# c\n0 1\n\n2 3 4 5\n6\n"]
+
+
+def test_read_rle_text_matches_line_by_line_reading():
+    rng = random.Random(42)
+    outcomes = {"image": 0, "error": 0}
+    for text in _ARITY + [_fuzz_text(rng) for _ in range(3000)]:
+        try:
+            expected = read_rle_text_by_line(text)
+        except RleTextParseError as exc:
+            with pytest.raises(RleTextParseError) as info:
+                read_rle_text(text)
+            assert (str(info.value), info.value.line) == (str(exc), exc.line), text
+            outcomes["error"] += 1
+        else:
+            assert read_rle_text(text) == expected, text
+            # The array reading accepts every good text by itself.
+            assert _text_runs(text) is not None, text
+            outcomes["image"] += 1
+    assert min(outcomes.values()) > 500, outcomes

@@ -2,6 +2,7 @@
 import copy
 import pickle
 import random
+import re
 
 import numpy as np
 import pytest
@@ -140,6 +141,58 @@ class TestRaster:
     @given(images)
     def test_round_trip(self, a):
         assert from_raster(*to_raster(a)) == a
+
+
+def raster_by_pixel(grid, origin: Point) -> RleImage:
+    """Reference for from_raster: one run per nonzero cell, merged by
+    normalize.  The property tests build their images with from_raster, so
+    they cannot catch a fault in it by themselves."""
+    cells = np.argwhere(np.asarray(grid) != 0).tolist()
+    return normalize([(x + origin.x, x + origin.x, y + origin.y) for y, x in cells])
+
+
+def _last_cell(shape):
+    g = np.zeros(shape, dtype=bool)
+    g[-1, -1] = True
+    return g
+
+
+class TestFromRaster:
+    @given(grids, points)
+    def test_matches_pixel_runs(self, grid, origin):
+        assert from_raster(grid, origin) == raster_by_pixel(grid, origin)
+
+    @given(grids, points)
+    def test_strided_views(self, grid, origin):
+        for view in (grid[::2, 1:], grid[1:, ::-1], grid.T):
+            assert from_raster(view, origin) == raster_by_pixel(view, origin)
+
+    @pytest.mark.parametrize("grid", [
+        np.ones((1, 9), dtype=bool),
+        np.ones((9, 1), dtype=bool),
+        np.ones((5, 6), dtype=bool),
+        _last_cell((4, 7)),
+        _last_cell((1, 1)),
+        np.array([[0, 2, 3, 0], [5, 0, 0, -1]]),
+        np.array([[0.0, 0.5], [np.nan, 0.0]]),
+        [[1, 0, 1, 1], [0, 1, 1, 0]],
+    ], ids=["1xn", "nx1", "all-true", "last-cell", "one-cell", "int", "float", "list"])
+    @pytest.mark.parametrize("origin", [Point(0, 0), Point(-7, -3), Point(2**40, -(2**40))])
+    def test_shapes_and_dtypes(self, grid, origin):
+        assert from_raster(grid, origin) == raster_by_pixel(grid, origin)
+
+    def test_many_row_blocks(self):
+        # More cells than one block of rows holds, with runs at both ends of
+        # every row, so that runs meet the edges of every block.
+        grid = np.random.default_rng(7).random((300, 2000)) < 0.5
+        grid[:, [0, -1]] = True
+        assert from_raster(grid, Point(-3, 5)) == raster_by_pixel(grid, Point(-3, 5))
+        assert from_raster(grid[::-1].T) == raster_by_pixel(grid[::-1].T, Point(0, 0))
+
+    @pytest.mark.parametrize("grid", [[True, False, True], np.zeros((2, 2, 2)), True])
+    def test_rejects_non_2d(self, grid):
+        with pytest.raises(ValueError, match=re.escape(f"2-D, got shape {np.shape(grid)}")):
+            from_raster(grid)
 
 
 class TestTranslateReflect:
