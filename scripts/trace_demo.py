@@ -4,7 +4,8 @@
 Erodes a random image with a square element while collecting the
 instrumentation trace, then prints the backend of the scan, the
 size of the run-indexed distance tables, how many candidate positions were
-actually probed versus the total pixel count, and the jump/hit events.
+actually probed versus the total pixel count, the lockstep rounds of the
+scan, and the jump/hit events.
 
 Usage:
     python3 scripts/trace_demo.py [--width 32] [--height 32]
@@ -44,10 +45,14 @@ def main(argv=None) -> int:
     print(f"tables: {len(tables.left)} kept runs, left {tables.left.nbytes} B, "
           f"right {tables.right.nbytes} B, row_ptr {tables.row_ptr.nbytes} B, "
           f"{len(tables.x_cut)} x_cut runs")
+    table_bytes = sum(a.nbytes for a in (tables.left, tables.right, tables.rows, tables.row_ptr))
+    print(f"row index: {len(tables.rows)} kept rows, rows {tables.rows.nbytes} B, "
+          f"{table_bytes} B in all")
     print()
     print(f"candidates examined : {trace.candidates:>6} "
           f"({trace.candidates / max(total, 1):.0%} of input pixels)")
     print(f"skeleton probes     : {trace.probes:>6}")
+    print(f"lockstep rounds     : {trace.rounds:>6}")
     skipped = sum(k for _, _, k in trace.jumps)
     print(f"jump-on-miss events : {len(trace.jumps):>6} "
           f"(skipped {skipped} positions)")

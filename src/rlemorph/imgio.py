@@ -224,8 +224,10 @@ def read_image(data: bytes) -> tuple[RleImage, ImageFileMeta | None]:
     try:
         text = data.decode()
     except UnicodeDecodeError as exc:
-        raise RleTextParseError(f"input is not valid UTF-8 RLE text: {exc.reason}",
-                                data.count(b"\n", 0, exc.start) + 1) from exc
+        # Lines are numbered as read_rle_text numbers them, by str.splitlines
+        # of the text before the bad byte; the "x" stands for that byte.
+        line = len((data[:exc.start].decode() + "x").splitlines())
+        raise RleTextParseError(f"input is not valid UTF-8 RLE text: {exc.reason}", line) from exc
     return read_rle_text(text), None
 
 

@@ -16,10 +16,13 @@ element, restricted to two exact rectangles.
 One scan, ``_scan``, serves traced and untraced erosion alike.  It moves
 every ``x_cut`` run forward in lockstep with numpy: each round probes
 every skeleton entry of every unfinished run at once, and each run then
-jumps by its largest deficit or, where no entry misses, emits a hit.  A
-probe in a gap misses until the next kept run of its row is deep enough,
-or past the row's last kept run to the end of the ``x_cut`` run, so a gap
-costs one probe, not one per pixel.
+jumps by its largest deficit and, where that jump lands on a position at
+which no entry misses, emits the hit there in the same round.  The
+per-probe arrays are entry-major, (entries, runs), so a reduction over
+each run's entries combines whole contiguous rows of runs, not short rows
+of entries.  A probe in a gap misses until the next kept run of its row
+is deep enough, or past the row's last kept run to the end of the
+``x_cut`` run, so a gap costs one probe, not one per pixel.
 """
 from __future__ import annotations
 
@@ -45,7 +48,7 @@ JUMP_SET = (Point(-1, 0), Point(0, 0))
 # What runs the scan: numpy array operations driven from Python.
 BACKEND = "python"
 
-# The scan holds (run x entry) arrays of at most this many cells at once,
+# The scan holds (entry x run) arrays of at most this many cells at once,
 # taking x_cut's runs in chunks, so its memory stays bounded by the runs.
 _CHUNK_CELLS = 1 << 18
 
@@ -111,6 +114,9 @@ class ErodeTrace:
 
     # Skeleton entries probed, all of them at every candidate.
     probes: int = 0
+    # Lockstep rounds of the scan, summed over its chunks; a round moves
+    # every unfinished x_cut run of its chunk by a jump, a hit or both.
+    rounds: int = 0
     # (x, y, k): the candidate at (x, y) missed, k its largest deficit over
     # the entries; (x..x+k-1, y) skipped.
     jumps: list[tuple[int, int, int]] = field(default_factory=list)
@@ -189,53 +195,77 @@ def _scan_chunk(tables: ErosionTables, cut: np.ndarray, sx: np.ndarray, sy: np.n
                 depth: np.ndarray, trace: ErodeTrace | None) -> np.ndarray:
     """Scan some x_cut runs in lockstep; returns their hits in (y, x) order.
 
-    Each (run, entry) pair keeps a cursor c into the kept runs of the row
-    the entry probes and the end e of that row's runs (c == e if it has
-    none).  A run's candidates only move right, so c only moves forward:
-    each round moves it to the first kept run that ends at or right of the
+    Every per-cell array is entry-major, (entries, runs), so reductions
+    over a run's entries run along axis 0 and finished runs drop out along
+    axis 1.  Each cell keeps a cursor c into the kept runs of the row its
+    entry probes and the end e of that row's runs (c == e if it has none).
+    A run's candidates only move right, so c only moves forward: each
+    round moves it to the first kept run that ends at or right of the
     probe px = x + sx.  The entry's deficit is then left[c] + d - 1 - px,
     d its depth, whether px lies in that run or in the gap before it; past
     the row's last kept run it is rx0 - x + 1, rx0 the x_cut run's end.
     The entry fits where its deficit is at most 0, and otherwise misses at
-    every position short of x plus the deficit.  A run with a miss jumps
-    by its largest deficit; a run without one emits the hit from x to the
-    nearest right end of the kept runs probed, and x moves past it.  Runs
-    past their end drop out.
+    every position short of x plus the deficit.
+
+    A run with a miss jumps by its largest deficit k; k is 0 where no
+    entry misses.  The cursors stay put for any move of at most
+    room = min(right[c] - px), so where k <= room the position x + k is a
+    hit reaching x + room.  The round emits it, with or without the jump
+    before it, and x moves past the hit and the miss that ends it.  A run
+    with an entry past its row's last kept run has x + k > rx0 and only
+    jumps, out of its run.  So a round handles one or two candidates of
+    each run, and each candidate counts one probe per entry.
     """
-    left, right = tables.left, tables.right
+    left, right, rows, row_ptr = tables.left, tables.right, tables.rows, tables.row_ptr
     x, rx0, y0 = cut.T.copy()
     run = np.arange(len(x))
-    probed_y = y0[:, None] + sy
-    # One search finds the probed row, or where it would be; e == c where
-    # no kept run lies in that row.
-    r = np.searchsorted(tables.rows, probed_y)
-    c = tables.row_ptr[r]
-    e = np.where(tables.rows.take(r, mode="clip") == probed_y,
-                 tables.row_ptr.take(r + 1, mode="clip"), c)
-    hits, jumps, n_probe = [np.empty((4, 0), dtype=np.int64)], [], 0
+    sx, d1 = sx[:, None], (depth - 1)[:, None]
+    probed_y = y0 + sy[:, None]
+    # x_cut's rows are kept rows, so the probed row's index is the run's
+    # row index plus sy wherever the kept rows between are consecutive.
+    # The guess is clipped to an index of rows, so a guess past the last
+    # kept row reads that row and fails the check; only cells whose guess
+    # fails are searched.
+    r = np.add.outer(sy, rows.searchsorted(y0))
+    np.minimum(np.maximum(r, 0, out=r), len(rows) - 1, out=r)
+    c, e = row_ptr.take(r), row_ptr[1:].take(r)
+    wrong = np.flatnonzero(rows.take(r) != probed_y)
+    if len(wrong):
+        y = probed_y.take(wrong)
+        r = rows.searchsorted(y)
+        c.ravel()[wrong] = row_ptr.take(r)
+        e.ravel()[wrong] = row_ptr.take(r + (rows.take(r, mode="clip") == y))
+    hits, jumps, n_probe, n_round = [np.empty((4, 0), dtype=np.int64)], [], 0, 0
     while len(x):
-        px = x[:, None] + sx
-        late = (c < e) & (right.take(c, mode="clip") < px)
-        if late.any():
-            c[late] = _lower_bound(right, c[late] + 1, e[late], px[late])
-        diff = np.where(c < e, left.take(c, mode="clip") + depth - 1 - px,
-                        (rx0 - x + 1)[:, None])
-        n_probe += diff.size
-        k = diff.max(axis=1)
-        hit = k <= 0
+        n_round += 1
+        px = x + sx
+        rc = right.take(c, mode="clip")
+        late = np.flatnonzero((c < e) & (rc < px))
+        if len(late):  # c and rc are contiguous: ravel() writes through
+            moved = _lower_bound(right, c.take(late) + 1, e.take(late), px.take(late))
+            c.ravel()[late] = moved
+            rc.ravel()[late] = right.take(moved, mode="clip")
+        # The largest deficit, or 0 where every entry fits.
+        k = np.where(c < e, left.take(c, mode="clip") + d1 - px,
+                     rx0 - x + 1).max(axis=0, initial=0)
+        room = (rc - px).min(axis=0)
+        hit = (k <= room) & (x + k <= rx0)
+        jump = k > 0
+        n_hit = np.count_nonzero(hit)
+        n_probe += len(sx) * (np.count_nonzero(jump) + n_hit)
         if trace is not None:
-            jumps.append(np.stack([run, x, y0, k])[:, ~hit])
-        if hit.any():
-            n = (right[c[hit]] - px[hit]).min(axis=1) + 1
-            hits.append(np.stack([run[hit], x[hit], x[hit] + n - 1, y0[hit]]))
-            k[hit] = n + 1  # past the hit and the miss that ends it
-        x += k
-        if (x > rx0).any():
-            live = x <= rx0
-            x, rx0, y0, run, c, e = x[live], rx0[live], y0[live], run[live], c[live], e[live]
+            jumps.append(np.array([run, x, y0, k]).compress(jump, axis=1))
+        if n_hit:
+            hits.append(np.array([run, x + k, x + room, y0]).compress(hit, axis=1))
+        x = np.where(hit, x + room + 2, x + k)
+        live = x <= rx0
+        if not live.all():
+            x, rx0, y0, run = x[live], rx0[live], y0[live], run[live]
+            c, e = c.compress(live, axis=1), e.compress(live, axis=1)
     hits = np.concatenate(hits, axis=1)
     if trace is not None:
         trace.probes += n_probe
+        trace.rounds += n_round
         jumps = np.concatenate(jumps, axis=1)
         trace.jumps.extend(zip(*jumps[1:, np.argsort(jumps[0], kind="stable")].tolist()))
     return hits[1:, np.argsort(hits[0], kind="stable")].T

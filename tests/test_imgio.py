@@ -10,6 +10,7 @@ from rlemorph.imgio import (
     PbmWriteError,
     RleTextParseError,
     _text_runs,
+    read_image,
     read_pbm,
     read_rle_text,
     write_pbm,
@@ -178,6 +179,23 @@ class TestRleText:
     def test_wrong_arity(self):
         with pytest.raises(RleTextParseError):
             read_rle_text("0 1\n")
+
+    @pytest.mark.parametrize("data, line", [
+        (b"\xff0 0 1\n", 1),
+        (b"0 0 1\n0 0 \xff\n", 2),
+        (b"0 0 1\r0 0 \xff\n", 2),
+        (b"0 0 1\x0b0 0 \xff\n", 2),
+        (b"0 0 1\r\n0 0 \xff\n", 2),
+        (b"0 0 1\r\n\r\n\n\xff", 4),
+        (b"0 0 1\r\xff", 2),
+        (b"0 0 1\xe2\x80\xa80 0 \xff", 2),
+    ], ids=["first-byte", "lf", "cr", "vt", "crlf", "blank-lines", "after-cr", "u2028"])
+    def test_undecodable_byte_line(self, data, line):
+        # The line of a bad byte is counted as read_rle_text counts lines,
+        # by str.splitlines: CR LF is one break, CR and VT are breaks too.
+        with pytest.raises(RleTextParseError, match=rf"\(line {line}\)") as info:
+            read_image(data)
+        assert info.value.line == line
 
     def test_round_trips(self):
         rng = random.Random(41)

@@ -1,6 +1,8 @@
 """Fast-path morphology: skeleton, tables, jump-scan erosion, dilation."""
+import bisect
 import random
 import tracemalloc
+from collections import defaultdict
 
 import numpy as np
 import pytest
@@ -396,6 +398,22 @@ class TestScanKernel:
         assert (trace.candidates, trace.probes, len(trace.jumps), len(trace.hits)) == counts
         assert len(trace.candidate_positions) == trace.candidates
 
+    # Lockstep rounds on the cases above: a round moves every unfinished
+    # x_cut run by a jump, a hit or a jump that lands on a hit.
+    @pytest.mark.parametrize("x, se, rounds", [
+        pytest.param(SOLID_5, square_se(3), 1, id="solid5-square3"),
+        pytest.param(blob_image(128, 96, blobs=12, seed=3), diamond_se(7), 3, id="blob-diamond7"),
+        pytest.param(blob_image(160, 160, blobs=20, seed=5), square_se(11), 3,
+                     id="blob-square11"),
+        pytest.param(random_image(48, 40, 0.7, seed=2), square_se(3), 5, id="random-square3"),
+        pytest.param(blob_image(96, 96, blobs=10, seed=8),
+                     img((0, 4, 0), (2, 2, 3), (-3, -1, 5)), 3, id="blob-three-runs"),
+    ])
+    def test_rounds_pinned(self, x, se, rounds):
+        trace = ErodeTrace()
+        erode(x, se, trace)
+        assert trace.rounds == rounds
+
     @pytest.mark.parametrize("v", [Point(2**40, -(2**40)), Point(-(2**40) + 7, 2**40 - 3)],
                              ids=["far-right-up", "far-left-down"])
     @pytest.mark.parametrize("se", [square_se(5), diamond_se(7),
@@ -507,6 +525,105 @@ class TestScanBoundedByRuns:
             tracemalloc.stop()
         assert out == img((0, 4, 0), (0, 4, h))
         assert peak < 64 * 2**10
+
+
+def reference_scan(x, se):
+    """The jump scan written out one candidate at a time, from the input's
+    runs: (jumps, hits, probes) as ErodeTrace records them.
+
+    Each entry (s, d) probes px = cx + s.x in row y0 + s.y and finds the
+    first kept run of that row with right end >= px.  Its deficit is
+    left + d - 1 - px, or rx0 - cx + 1 past the row's last kept run.  The
+    candidate jumps by the largest deficit, or hits up to the nearest right
+    end and then skips the miss after it."""
+    skel = generate_skeleton(se)
+    kept = defaultdict(list)
+    for lx, rx, y in x.array.tolist():
+        if rx - lx + 1 >= skel.l_min:
+            kept[y].append((rx, lx))
+    jumps, hits, probes = [], [], 0
+    for lx, rx0, y0 in x.array.tolist():
+        cx = lx + skel.l_max - 1
+        while cx <= rx0:
+            probes += len(skel.entries)
+            deficits, rooms = [], []
+            for s, d in skel.entries:
+                px, row = cx + s.x, kept[y0 + s.y]
+                i = bisect.bisect_left(row, (px,))
+                if i == len(row):
+                    deficits.append(rx0 - cx + 1)
+                    rooms.append(-1)
+                else:
+                    deficits.append(row[i][1] + d - 1 - px)
+                    rooms.append(row[i][0] - px)
+            k = max(deficits)
+            if k > 0:
+                jumps.append((cx, y0, k))
+                cx += k
+            else:
+                hits.append((cx, y0, min(rooms) + 1))
+                cx += min(rooms) + 2
+    return jumps, hits, probes
+
+
+class TestScanMatchesReference:
+    """The lockstep scan records exactly the events of the one-candidate
+    reference, whatever its rounds and row lookups."""
+
+    @staticmethod
+    def check(x, se):
+        trace = ErodeTrace()
+        out = erode(x, se, trace)
+        assert (trace.jumps, trace.hits, trace.probes) == reference_scan(x, se)
+        assert out == erode_naive(x, se)
+
+    def test_random_and_blob_cases(self):
+        rng = random.Random(34)
+        for i in range(320):
+            if i % 2:
+                x = blob_image(rng.randint(8, 80), rng.randint(8, 80),
+                               blobs=rng.randint(1, 10), min_size=2, max_size=24,
+                               seed=rng.randrange(2**32))
+            else:
+                x = random_rle_image(rng, 40, 40)
+            self.check(x, random_se(rng))
+
+    def test_chunked_scan(self, monkeypatch):
+        # Taking x_cut two runs at a time changes no event, and the rounds
+        # add up over the chunks.
+        x, se = blob_image(64, 64, blobs=6, seed=12), diamond_se(5)
+        skel = generate_skeleton(se)
+        n_cut = len(build_tables(x, skel.l_min, skel.l_max).x_cut)
+        whole = ErodeTrace()
+        erode(x, se, whole)
+        monkeypatch.setattr(morphology, "_CHUNK_CELLS", 2 * len(skel.entries))
+        self.check(x, se)
+        chunked = ErodeTrace()
+        erode(x, se, chunked)
+        assert chunked.rounds >= (n_cut + 1) // 2 > whole.rounds
+
+    # Rows of two runs each, (0, 9) and (12, 20) shifted by the row number.
+    @staticmethod
+    def rows(*ys):
+        return img(*[run for y in ys for run in ((y, 9 + y, y), (12 + y, 20 + y, y))])
+
+    @pytest.mark.parametrize("ys, se", [
+        # Row 2 lies between kept rows 1 and 3 and holds no run: from row 1
+        # the guess lands on row 3 and the search finds no row 2.
+        pytest.param((0, 1, 3, 4), img((0, 0, 0), (0, 0, 1)), id="absent-between"),
+        # From row 0 the guess for row 2 lands on row 3; row 2 is found by
+        # the search.
+        pytest.param((0, 2, 3), img((0, 0, 0), (0, 0, 2)), id="present-off-guess"),
+        # Kept rows [..., 57, 58, 60]: from rows 58 and 60 guesses run past
+        # the last kept row, and row 59 is a gap that must stay a miss.
+        pytest.param((*range(50, 59), 60), img((0, 1, -1), (0, 1, 0), (0, 1, 1)),
+                     id="past-last-row"),
+        # Entries above the anchor probe rows before the first kept row.
+        pytest.param(range(10, 16), img((0, 0, 0), (0, 0, 1), (0, 4, 2)),
+                     id="before-first-row"),
+    ])
+    def test_row_guess_paths(self, ys, se):
+        self.check(self.rows(*ys), se)
 
 
 class TestErodeCheckAt:
