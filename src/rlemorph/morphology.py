@@ -223,19 +223,18 @@ def _scan_chunk(tables: ErosionTables, cut: np.ndarray, sx: np.ndarray, sy: np.n
     probed_y = y0 + sy[:, None]
     # x_cut's rows are kept rows, so the probed row's index is the run's
     # row index plus sy wherever the kept rows between are consecutive.
-    # The guess is clipped to an index of rows, so a guess past the last
-    # kept row reads that row and fails the check; only cells whose guess
-    # fails are searched.
+    # Every take clips the guess to an index of rows, so a guess past the
+    # last kept row reads that row and is kept only if it is the probed
+    # one; only cells whose guess reads another row are searched.
     r = np.add.outer(sy, rows.searchsorted(y0))
-    np.minimum(np.maximum(r, 0, out=r), len(rows) - 1, out=r)
-    c, e = row_ptr.take(r), row_ptr[1:].take(r)
-    wrong = np.flatnonzero(rows.take(r) != probed_y)
+    c, e = row_ptr[:-1].take(r, mode="clip"), row_ptr[1:].take(r, mode="clip")
+    wrong = np.flatnonzero(rows.take(r, mode="clip") != probed_y)
     if len(wrong):
         y = probed_y.take(wrong)
         r = rows.searchsorted(y)
         c.ravel()[wrong] = row_ptr.take(r)
         e.ravel()[wrong] = row_ptr.take(r + (rows.take(r, mode="clip") == y))
-    hits, jumps, n_probe, n_round = [np.empty((4, 0), dtype=np.int64)], [], 0, 0
+    hits, jumps, n_round = [np.empty((4, 0), dtype=np.int64)], [], 0
     while len(x):
         n_round += 1
         px = x + sx
@@ -250,12 +249,9 @@ def _scan_chunk(tables: ErosionTables, cut: np.ndarray, sx: np.ndarray, sy: np.n
                      rx0 - x + 1).max(axis=0, initial=0)
         room = (rc - px).min(axis=0)
         hit = (k <= room) & (x + k <= rx0)
-        jump = k > 0
-        n_hit = np.count_nonzero(hit)
-        n_probe += len(sx) * (np.count_nonzero(jump) + n_hit)
         if trace is not None:
-            jumps.append(np.array([run, x, y0, k]).compress(jump, axis=1))
-        if n_hit:
+            jumps.append(np.array([run, x, y0, k]).compress(k > 0, axis=1))
+        if hit.any():
             hits.append(np.array([run, x + k, x + room, y0]).compress(hit, axis=1))
         x = np.where(hit, x + room + 2, x + k)
         live = x <= rx0
@@ -264,9 +260,9 @@ def _scan_chunk(tables: ErosionTables, cut: np.ndarray, sx: np.ndarray, sy: np.n
             c, e = c.compress(live, axis=1), e.compress(live, axis=1)
     hits = np.concatenate(hits, axis=1)
     if trace is not None:
-        trace.probes += n_probe
-        trace.rounds += n_round
         jumps = np.concatenate(jumps, axis=1)
+        trace.probes += len(sx) * (jumps.shape[1] + hits.shape[1])
+        trace.rounds += n_round
         trace.jumps.extend(zip(*jumps[1:, np.argsort(jumps[0], kind="stable")].tolist()))
     return hits[1:, np.argsort(hits[0], kind="stable")].T
 

@@ -378,8 +378,8 @@ class TestScanKernel:
             assert [(lx + q.x, y + q.y, rx - lx + 1) for lx, rx, y in traced.runs] == trace.hits
 
     # (candidates, probes, jumps, hits) of the jump scan on fixed cases.  A
-    # probe is one (run, entry) pair probed in a round of the lockstep scan,
-    # and a jump skips the largest deficit over the entries.
+    # probe is one skeleton entry at one candidate, so probes = entries x
+    # (jumps + hits), and a jump skips the largest deficit over the entries.
     @pytest.mark.parametrize("x, se, counts", [
         pytest.param(SOLID_5, square_se(3), (5, 15, 2, 3), id="solid5-square3"),
         pytest.param(blob_image(128, 96, blobs=12, seed=3), diamond_se(7),
@@ -618,6 +618,10 @@ class TestScanMatchesReference:
         # the last kept row, and row 59 is a gap that must stay a miss.
         pytest.param((*range(50, 59), 60), img((0, 1, -1), (0, 1, 0), (0, 1, 1)),
                      id="past-last-row"),
+        # Kept rows [0, 2]: from row 0 the guess for row 2 runs past the
+        # last kept row, is clipped onto it and reads row 2, which the hits
+        # of row 0 need.
+        pytest.param((0, 2), img((0, 0, 0), (0, 0, 2)), id="clipped-onto-last-row"),
         # Entries above the anchor probe rows before the first kept row.
         pytest.param(range(10, 16), img((0, 0, 0), (0, 0, 1), (0, 4, 2)),
                      id="before-first-row"),
