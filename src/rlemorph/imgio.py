@@ -40,9 +40,12 @@ class RleTextParseError(ValueError):
 
 
 _WS = b" \t\r\n\x0b\x0c"
-_COMMENT = re.compile(rb"#[^\n]*")
+_COMMENT = re.compile(rb"#[^\r\n]*")
 # Header fields: whitespace and comments between them, then ASCII digits.
 _GAP = re.compile(b"(?:[%s]|%s)*" % (re.escape(_WS), _COMMENT.pattern))
+# Comments after the P4 height, each through its line break; the one
+# whitespace byte before the raster comes after them.
+_P4_COMMENTS = re.compile(rb"(?:%s[\r\n]?)*" % _COMMENT.pattern)
 _DIGITS = re.compile(rb"[0-9]*")
 # Byte classes in a P1 payload: 0 invalid, 1 whitespace, 2 digit 0, 3 digit 1.
 _P1_KIND = np.zeros(256, dtype=np.uint8)
@@ -90,9 +93,12 @@ def read_pbm(data: bytes) -> tuple[RleImage, ImageFileMeta]:
     if data[:2] == b"P1":
         bits = _p1_bits(data, pos, width, height)
     else:
+        pos = _P4_COMMENTS.match(data, pos).end()
         if pos >= len(data):
             raise PbmParseError("truncated P4 header", pos)
-        pos += 1  # exactly one whitespace byte after the header
+        if data[pos] not in _WS:
+            raise PbmParseError("expected whitespace before the P4 raster", pos)
+        pos += 1
         row_bytes = (width + 7) // 8
         need = row_bytes * height
         if len(data) - pos < need:

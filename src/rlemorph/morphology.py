@@ -63,11 +63,11 @@ class SkeletonTable:
     """Skeleton of the structuring element translated so that the rightmost
     pixel of its longest run sits at the origin.
 
-    entries: (point, depth) per run of the translated element, where the
-    point is the run's rightmost pixel and depth its length.
+    entries: read-only (E, 3) int64 array, one row (sx, sy, depth) per run
+    in (y, lx) order: (sx, sy) is the run's rightmost pixel, depth its length.
     """
 
-    entries: tuple[tuple[Point, int], ...]
+    entries: np.ndarray
     l_min: int
     l_max: int
     anchor_q: Point
@@ -134,7 +134,7 @@ class ErodeTrace:
 
 
 def generate_skeleton(se: RleImage) -> SkeletonTable:
-    """Anchor the element and list one (rightmost pixel, run length) entry
+    """Anchor the element and list one (rightmost pixel, run length) row
     per run.  Among equally longest runs the first in (y, lx) order wins."""
     if se.is_empty:
         raise EmptyStructuringElementError("empty structuring element")
@@ -142,8 +142,8 @@ def generate_skeleton(se: RleImage) -> SkeletonTable:
     lengths = a[:, 1] - a[:, 0] + 1
     best = int(np.argmax(lengths))
     q = Point(int(a[best, 1]), int(a[best, 2]))
-    entries = tuple((Point(rx - q.x, y - q.y), n)
-                    for (_, rx, y), n in zip(a.tolist(), lengths.tolist()))
+    entries = np.column_stack((a[:, 1] - q.x, a[:, 2] - q.y, lengths))
+    entries.flags.writeable = False
     return SkeletonTable(entries, int(lengths.min()), int(lengths.max()), q)
 
 
@@ -182,7 +182,7 @@ def _scan(tables: ErosionTables, skel: SkeletonTable, trace: ErodeTrace | None) 
     cut = tables.x_cut.array
     if not len(cut) or not len(tables.left):  # with no kept run nothing fits
         return np.empty((0, 3), dtype=np.int64)
-    sx, sy, depth = np.array([(s.x, s.y, d) for s, d in skel.entries], dtype=np.int64).T
+    sx, sy, depth = skel.entries.T
     step = max(1, _CHUNK_CELLS // len(sx))
     runs = np.concatenate([_scan_chunk(tables, cut[i:i + step], sx, sy, depth, trace)
                            for i in range(0, len(cut), step)])

@@ -135,12 +135,12 @@ def test_criterion_3d_skeleton_soundness():
         moved = translate(se, Point(-q.x, -q.y))
         f = erosion_transform_naive(moved, A)
         naive = skeleton_naive(moved, A)
-        points = {s for s, _ in skel.entries}
+        points = {Point(sx, sy) for sx, sy, _ in skel.entries.tolist()}
         assert points <= naive
         assert points == {Point(r.rx, r.y) for r in moved.runs}
         assert naive == {Point(r.rx, r.y) for r in moved.runs}
-        for s, depth in skel.entries:
-            assert f[s] == depth
+        for sx, sy, depth in skel.entries.tolist():
+            assert f[Point(sx, sy)] == depth
     print("\nACCEPTANCE 3d skeleton soundness: PASS")
 
 

@@ -154,6 +154,13 @@ class TestCliErodeDilate:
         assert main(["erode", str(x), str(se), "-o", str(tmp_path / "o.rle")]) == 2
         assert "(line 2)" in capsys.readouterr().err
 
+    def test_p4_raster_without_whitespace_exit_code(self, tmp_path, capsys):
+        pbm = tmp_path / "a.pbm"
+        pbm.write_bytes(b"P4\n8 1#c\n\xff")
+        assert main(["convert", str(pbm), "-o", str(tmp_path / "b.rle")]) == 2
+        assert "(byte offset 9)" in capsys.readouterr().err
+        assert not (tmp_path / "b.rle").exists()
+
     def test_missing_file_exit_code(self, tmp_path):
         assert main(["erode", str(tmp_path / "no.rle"), str(tmp_path / "no.rle"),
                      "-o", str(tmp_path / "o.rle")]) == 2

@@ -34,6 +34,8 @@ class TestReadPbm:
     def test_p1_comments(self):
         image, _ = read_pbm(b"P1\n# hello\n2 2\n1 0\n# more\n0 1\n")
         assert image == img((0, 0, 0), (1, 1, 1))
+        image, _ = read_pbm(b"P1\n2 2\n1 1#c\r0 0\n1 1\n")
+        assert image == img((0, 1, 0))
 
     def test_p1_all_zeros(self):
         image, _ = read_pbm(b"P1\n3 2\n0 0 0 0 0 0\n")
@@ -74,20 +76,24 @@ class TestReadPbm:
             pytest.fail("expected parse error")
 
     # Header fields are separated by any run of whitespace and comments; a
-    # comment runs to the end of its line.
+    # comment runs to the next CR or LF.  After the P4 height come comments,
+    # each through its line break, then one whitespace byte.
     @pytest.mark.parametrize("data, message, offset", [
         (b"P1 #w 9\n 3 #h\n\n x", "expected height", 16),
         (b"P1#only\n", "expected width", 8),
         (b"P1 -3 1\n1", "expected width", 3),
         (b"P1 0 3\n", "bad dimensions 0x3", 6),
         (b"P4 1 1", "truncated P4 header", 6),
+        (b"P4\n8 1X\xff", "expected whitespace", 6),
+        (b"P4\n8 1#c\n\xff", "expected whitespace", 9),
     ])
     def test_header_errors(self, data, message, offset):
         with pytest.raises(PbmParseError, match=message) as info:
             read_pbm(data)
         assert info.value.offset == offset
 
-    @pytest.mark.parametrize("data", [b"P4\t2\x0b#c\n1\n\x80", b"P1\n#a\n#b\n2#c\n1 1 0"])
+    @pytest.mark.parametrize("data", [b"P4\t2\x0b#c\n1\n\x80", b"P1\n#a\n#b\n2#c\n1 1 0",
+                                      b"P4\n2 1#c\n\n\x80"])
     def test_header_gaps(self, data):
         image, meta = read_pbm(data)
         assert (meta.width, meta.height) == (2, 1)

@@ -49,23 +49,26 @@ class TestGenerateSkeleton:
     def test_3x3_square_at_corner(self):
         skel = generate_skeleton(img((0, 2, 0), (0, 2, 1), (0, 2, 2)))
         assert skel.anchor_q == Point(2, 0)
-        assert skel.entries == (
-            (Point(0, 0), 3),
-            (Point(0, 1), 3),
-            (Point(0, 2), 3),
-        )
+        assert skel.entries.tolist() == [
+            [0, 0, 3],
+            [0, 1, 3],
+            [0, 2, 3],
+        ]
+        assert skel.entries.dtype == np.int64 and skel.entries.shape == (3, 3)
+        with pytest.raises(ValueError):
+            skel.entries[0, 2] = 1
         assert skel.l_min == skel.l_max == 3
 
     def test_single_pixel(self):
         skel = generate_skeleton(img((0, 0, 0)))
         assert skel.anchor_q == Point(0, 0)
-        assert skel.entries == ((Point(0, 0), 1),)
+        assert skel.entries.tolist() == [[0, 0, 1]]
         assert skel.l_min == skel.l_max == 1
 
     def test_two_runs(self):
         skel = generate_skeleton(img((0, 4, 0), (1, 2, 1)))
         assert skel.anchor_q == Point(4, 0)
-        assert skel.entries == ((Point(0, 0), 5), (Point(-2, 1), 2))
+        assert skel.entries.tolist() == [[0, 0, 5], [-2, 1, 2]]
         assert skel.l_min == 2 and skel.l_max == 5
 
     def test_anchor_tie_break_takes_first_longest(self):
@@ -81,9 +84,9 @@ class TestGenerateSkeleton:
         for _ in range(50):
             se = random_se(rng)
             skel = generate_skeleton(se)
-            origin_entries = [d for s, d in skel.entries if s == Point(0, 0)]
+            origin_entries = [d for sx, sy, d in skel.entries.tolist() if (sx, sy) == (0, 0)]
             assert origin_entries == [skel.l_max]
-            assert skel.l_min == min(d for _, d in skel.entries)
+            assert skel.l_min == min(d for _, _, d in skel.entries.tolist())
 
     def test_entries_satisfy_skeleton_inequality(self):
         # every entry of the table is a skeleton point of the translated
@@ -96,13 +99,13 @@ class TestGenerateSkeleton:
             moved = translate(se, Point(-q.x, -q.y))
             naive = skeleton_naive(moved, A)
             f = erosion_transform_naive(moved, A)
-            points = {s for s, _ in skel.entries}
+            points = {Point(sx, sy) for sx, sy, _ in skel.entries.tolist()}
             assert points <= naive
             # entry set is exactly the rightmost-of-run points, and depths
             # equal the transform values there
             assert points == {Point(r.rx, r.y) for r in moved.runs}
-            for s, depth in skel.entries:
-                assert f[s] == depth
+            for sx, sy, depth in skel.entries.tolist():
+                assert f[Point(sx, sy)] == depth
 
 
 class TestBuildTables:
@@ -499,7 +502,7 @@ class TestScanBoundedByRuns:
             tables = build_tables(x, skel.l_min, skel.l_max)
             kept_y = drop_short_runs(x, skel.l_min).array[:, 2].tolist()
             cut_rows = set(tables.x_cut.array[:, 2].tolist())
-            k = sum(kept_y.count(y0 + s.y) for s, _ in skel.entries for y0 in cut_rows)
+            k = sum(kept_y.count(y0 + sy) for _, sy, _ in skel.entries.tolist() for y0 in cut_rows)
             trace = ErodeTrace()
             assert erode(x, se, trace) == erode_naive(x, se)
             assert len(trace.jumps) <= 2 * k + len(tables.x_cut)
@@ -547,8 +550,8 @@ def reference_scan(x, se):
         while cx <= rx0:
             probes += len(skel.entries)
             deficits, rooms = [], []
-            for s, d in skel.entries:
-                px, row = cx + s.x, kept[y0 + s.y]
+            for sx, sy, d in skel.entries.tolist():
+                px, row = cx + sx, kept[y0 + sy]
                 i = bisect.bisect_left(row, (px,))
                 if i == len(row):
                     deficits.append(rx0 - cx + 1)
