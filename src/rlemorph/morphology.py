@@ -167,7 +167,7 @@ def build_tables(x: RleImage, l_min: int, l_max: int) -> ErosionTables:
     cut = runs.compress(lengths >= l_max, axis=0)
     cut[:, 0] += l_max - 1
     return ErosionTables(kept[:, 0].copy(), kept[:, 1].copy(), y[starts],
-                         np.append(starts, len(y)), RleImage(cut))
+                         np.append(starts, len(y)), RleImage._built(cut))
 
 
 def erode_check_at(tables: ErosionTables, skel: SkeletonTable, h: Point) -> bool:
@@ -283,7 +283,7 @@ def erode(x: RleImage, se: RleImage, trace: ErodeTrace | None = None) -> RleImag
     skel = generate_skeleton(se)
     tables = build_tables(x, skel.l_min, skel.l_max)
     q = skel.anchor_q
-    return RleImage(_scan(tables, skel, trace) - (q.x, q.x, q.y))
+    return RleImage._built(_scan(tables, skel, trace) - (q.x, q.x, q.y))
 
 
 def dilate(x: RleImage, se: RleImage) -> RleImage:

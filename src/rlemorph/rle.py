@@ -5,7 +5,8 @@ We store it as one read-only ``(n, 3)`` int64 array of horizontal runs
 ``(lx, rx, y)`` in compact form: sorted by ``(y, lx)``, and within a row
 consecutive runs neither overlap nor touch, so the representation of a
 pixel set is unique and images compare with ``==``.  The constructor
-checks its input.
+checks runs a caller supplies in full; arrays the library builds in this
+order itself are wrapped with only the coordinate bound check.
 
 x grows rightward, y grows downward.  Negative coordinates are legal
 (structuring elements usually straddle the origin).  All operations are
@@ -123,6 +124,19 @@ class RleImage:
         a.flags.writeable = False
         object.__setattr__(self, "array", a)
 
+    @classmethod
+    def _built(cls, a: np.ndarray) -> "RleImage":
+        """Wrap an (n, 3) int64 array the library built in compact order,
+        taking it over without a copy.  Only the coordinate bound is
+        checked; beyond it the constructor names the run."""
+        if a.size and (a.min() < -COORD_LIMIT or a.max() > COORD_LIMIT):
+            return cls(a)
+        a = np.ascontiguousarray(a, dtype=np.int64)
+        a.flags.writeable = False
+        img = object.__new__(cls)
+        object.__setattr__(img, "array", a)
+        return img
+
     def __setattr__(self, name, value) -> None:
         raise AttributeError("RleImage is immutable")
 
@@ -169,23 +183,23 @@ class RleImage:
 EMPTY = RleImage()
 
 
-def _cover(runs: np.ndarray, weights: np.ndarray, k: int) -> RleImage:
-    """The pixels where the weighted runs cover at least k >= 1 times.
+def _cover(runs: np.ndarray, k: int) -> RleImage:
+    """The pixels that the runs cover at least k >= 1 times.
 
-    Each run adds its weight at lx and takes it back at rx + 1; the events,
-    sorted by (y, x), are summed.  The last event at a (y, x) sets the level
+    Each run adds 1 at lx and takes it back at rx + 1; the events, sorted
+    by (y, x), are summed.  The last event at a (y, x) sets the level
     there, so touching runs do not split.  Every row ends at level 0.
     """
     xs = np.concatenate((runs[:, 0], runs[:, 1] + 1))
     ys = np.concatenate((runs[:, 2], runs[:, 2]))
     order = np.lexsort((xs, ys))
     xs, ys = xs[order], ys[order]
-    level = np.cumsum(np.concatenate((weights, -weights))[order])
+    level = np.cumsum(np.where(order < len(runs), 1, -1))
     last = np.ones(len(xs), dtype=bool)
     last[:-1] = (xs[1:] != xs[:-1]) | (ys[1:] != ys[:-1])
     edge = np.flatnonzero(np.diff(level[last] >= k, prepend=False))
     xs, ys = xs[last], ys[last]
-    return RleImage(np.column_stack((xs[edge[0::2]], xs[edge[1::2]] - 1, ys[edge[0::2]])))
+    return RleImage._built(np.column_stack((xs[edge[0::2]], xs[edge[1::2]] - 1, ys[edge[0::2]])))
 
 
 def normalize(runs: Iterable[tuple[int, int, int]] | np.ndarray) -> RleImage:
@@ -193,8 +207,7 @@ def normalize(runs: Iterable[tuple[int, int, int]] | np.ndarray) -> RleImage:
 
     Accepts unsorted, overlapping and adjacent runs; rejects lx > rx.
     """
-    a = _as_runs(runs)
-    return _cover(a, np.ones(len(a), dtype=np.int64), 1)
+    return _cover(_as_runs(runs), 1)
 
 
 # from_raster pads and scans the grid in blocks of whole rows of about this
@@ -233,7 +246,7 @@ def from_raster(grid, origin: Point = Point(0, 0)) -> RleImage:
     start, end = edge[0::2], edge[1::2]
     y = start // (w + 2)
     lx = start - y * (w + 2) + origin.x
-    return RleImage(np.column_stack((lx, lx + (end - start - 1), y + origin.y)))
+    return RleImage._built(np.column_stack((lx, lx + (end - start - 1), y + origin.y)))
 
 
 def _paint(img: RleImage, rect: Rect) -> np.ndarray:
@@ -274,18 +287,33 @@ def union(a: RleImage, b: RleImage) -> RleImage:
 
 
 def intersect(a: RleImage, b: RleImage) -> RleImage:
-    both = np.concatenate((a.array, b.array))
-    return _cover(both, np.ones(len(both), dtype=np.int64), 2)
+    return _cover(np.concatenate((a.array, b.array)), 2)
 
 
 def complement_within(img: RleImage, rect: Rect) -> RleImage:
     """Pixel set rect \\ img, compact.  Pixels of img outside rect are
-    ignored; rows of rect without runs become single full-width runs."""
-    ys = np.arange(rect.t, rect.b + 1)
-    full = np.column_stack((np.full_like(ys, rect.l), np.full_like(ys, rect.r), ys))
-    weights = np.concatenate((np.ones(len(ys), dtype=np.int64),
-                              np.full(len(img), -1, dtype=np.int64)))
-    return _cover(np.concatenate((full, img.array)), weights, 1)
+    ignored; rows of rect without runs become single full-width runs.
+
+    The gaps of each row lie between its runs, so no sort is needed: the
+    runs meeting rect take one slot each in (y, lx) order, and each row of
+    rect gets one more slot after its runs.  A slot's gap runs from the
+    previous run's rx + 1 (rect.l in a row's first slot) to its own run's
+    lx - 1 (rect.r in a row's last slot).  A run that crosses rect's left
+    or right edge is its row's first or last run there, so the gap beside
+    it, beyond rect.l or rect.r, comes out empty without clipping.
+    """
+    a = img.array
+    a = a[a[:, 2].searchsorted(rect.t):a[:, 2].searchsorted(rect.b, side="right")]
+    a = a.compress((a[:, 1] >= rect.l) & (a[:, 0] <= rect.r), axis=0)
+    y = a[:, 2] - rect.t
+    slot = np.arange(len(a)) + y
+    slots = len(a) + rect.height
+    start, end = np.full(slots, rect.l, dtype=np.int64), np.full(slots, rect.r, dtype=np.int64)
+    end[slot] = a[:, 0] - 1
+    start[slot + 1] = a[:, 1] + 1
+    ys = np.repeat(np.arange(rect.t, rect.b + 1), np.bincount(y, minlength=rect.height) + 1)
+    keep = start <= end
+    return RleImage._built(np.column_stack((start[keep], end[keep], ys[keep])))
 
 
 def bounding_rect(img: RleImage) -> Optional[Rect]:

@@ -4,8 +4,10 @@ from __future__ import annotations
 import random
 
 import numpy as np
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from rlemorph.rle import Point, RleImage, Run, from_raster
+from rlemorph.rle import Point, Rect, RleImage, Run, from_raster
 
 
 A = RleImage((Run(-1, 0, 0),))  # {(-1,0), (0,0)}
@@ -47,3 +49,16 @@ def random_se(rng: random.Random, max_side: int = 9) -> RleImage:
 
 def pixel_set(img: RleImage) -> set:
     return img.pixel_set()
+
+
+# Hypothesis strategies: small images anywhere near the origin, and
+# rectangles around and across them, from one pixel upwards.
+grids = hnp.arrays(
+    dtype=bool,
+    shape=st.tuples(st.integers(1, 12), st.integers(1, 12)),
+    elements=st.booleans(),
+)
+points = st.builds(Point, st.integers(-10, 10), st.integers(-10, 10))
+images = st.builds(from_raster, grids, points)
+rects = st.builds(lambda l, w, t, h: Rect(l, l + w - 1, t, t + h - 1),
+                  st.integers(-14, 24), st.integers(1, 20), st.integers(-14, 24), st.integers(1, 20))

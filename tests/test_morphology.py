@@ -6,6 +6,8 @@ from collections import defaultdict
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from rlemorph import morphology
 from rlemorph.generate import blob_image, diamond_se, random_image, square_se
@@ -34,12 +36,14 @@ from rlemorph.rle import (
     bounding_rect,
     complement_within,
     drop_short_runs,
+    from_raster,
+    intersect,
     normalize,
     reflect,
     translate,
 )
 
-from helpers import A, img, random_rle_image, random_se
+from helpers import A, grids, images, img, points, random_rle_image, random_se, rects
 
 SOLID_5 = img(*[(0, 4, y) for y in range(5)])
 SQUARE_3_CENTERED = img((-1, 1, -1), (-1, 1, 0), (-1, 1, 1))
@@ -290,6 +294,51 @@ class TestMalformedInput:
     def test_element_rejected(self, op, runs, message):
         with pytest.raises(ValueError, match=message):
             op(SQUARE_3_CENTERED, RleImage(runs))
+
+
+class TestCoordinateBound:
+    """A result with a coordinate beyond +-2**61 is refused, naming the run."""
+
+    def test_erosion_leaving_the_bound(self):
+        with pytest.raises(ValueError, match="beyond"):
+            erode(img((2**61 - 3, 2**61, 0)), img((-(2**61), -(2**61), 0)))
+
+    def test_dilation_whose_complement_rectangle_leaves_the_bound(self):
+        # The dilation ends at 2**61 - 1, but the complement rectangle of
+        # the duality reaches 2**61 + 1.
+        with pytest.raises(ValueError, match="beyond"):
+            dilate(img((2**61 - 3, 2**61 - 3, 0)), square_se(5))
+
+
+def assert_compact(out):
+    """out holds a read-only C-ordered int64 array that passes the full
+    check of the constructor, which the library skips for runs it builds."""
+    a = out.array
+    assert a.dtype == np.int64 and a.flags.c_contiguous and not a.flags.writeable
+    assert RleImage(a) == out
+
+
+class TestBuiltRunsAreCompact:
+    @given(images, images.filter(lambda se: not se.is_empty))
+    def test_erode_and_dilate(self, x, se):
+        skel = generate_skeleton(se)
+        assert_compact(build_tables(x, skel.l_min, skel.l_max).x_cut)
+        assert_compact(erode(x, se))
+        assert_compact(dilate(x, se))
+
+    @given(images, images, rects)
+    def test_complement_and_intersect(self, a, b, rect):
+        assert_compact(complement_within(a, rect))
+        assert_compact(intersect(a, b))
+
+    @given(st.lists(st.tuples(st.integers(-12, 12), st.integers(0, 6), st.integers(-6, 6))))
+    def test_normalize(self, triples):
+        assert_compact(normalize([(lx, lx + n, y) for lx, n, y in triples]))
+
+    @given(grids, points)
+    def test_from_raster(self, grid, origin):
+        assert_compact(from_raster(grid, origin))
+        assert_compact(from_raster(grid.T[::-1], origin))
 
 
 class TestErodeInstrumented:

@@ -6,9 +6,8 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from hypothesis.extra import numpy as hnp
 
 from rlemorph.rle import (
     EMPTY,
@@ -28,15 +27,7 @@ from rlemorph.rle import (
     union,
 )
 
-from helpers import img
-
-grids = hnp.arrays(
-    dtype=bool,
-    shape=st.tuples(st.integers(1, 12), st.integers(1, 12)),
-    elements=st.booleans(),
-)
-points = st.builds(Point, st.integers(-10, 10), st.integers(-10, 10))
-images = st.builds(from_raster, grids, points)
+from helpers import grids, images, img, points, rects
 
 
 class TestNormalize:
@@ -270,6 +261,39 @@ class TestComplement:
         c = complement_within(a, rect)
         box = {(x, y) for x in range(-4, 8) for y in range(-3, 9)}
         assert c.pixel_set() == box - a.pixel_set()
+
+    @given(st.one_of(st.just(EMPTY), images), rects)
+    @example(from_raster(np.ones((6, 6), dtype=bool)), Rect(1, 4, 1, 4))  # clipped on all sides
+    @example(img((0, 3, 0), (6, 9, 0), (2, 7, 1)), Rect(2, 7, 0, 1))  # runs ending on its edges
+    @example(img((0, 1, 0), (8, 9, 0), (0, 9, 5)), Rect(3, 6, -1, 2))  # no run meets it
+    @example(EMPTY, Rect(-2, 3, 0, 4))
+    @example(from_raster(np.ones((6, 6), dtype=bool)), Rect(-3, 8, 2, 2))  # one row
+    @example(from_raster(np.ones((6, 6), dtype=bool)), Rect(2, 2, -3, 8))  # one column
+    @example(img((0, 0, 0), (2, 2, 0)), Rect(1, 1, 0, 0))  # a one-pixel gap
+    def test_matches_coverage_sweep(self, a, rect):
+        assert complement_within(a, rect) == complement_within_by_coverage(a, rect)
+
+
+def complement_within_by_coverage(img, rect):
+    """Reference for complement_within: the coverage sweep it replaced.
+    Each row of rect adds 1 from rect.l to rect.r and each run of img takes
+    1 back over its pixels; the events, sorted by (y, x), are summed, and
+    the pixels at level 1 or more form the result.  RleImage checks it."""
+    ys = np.arange(rect.t, rect.b + 1)
+    full = np.column_stack((np.full_like(ys, rect.l), np.full_like(ys, rect.r), ys))
+    runs = np.concatenate((full, img.array))
+    weights = np.concatenate((np.ones(len(ys), dtype=np.int64),
+                              np.full(len(img), -1, dtype=np.int64)))
+    xs = np.concatenate((runs[:, 0], runs[:, 1] + 1))
+    ys = np.concatenate((runs[:, 2], runs[:, 2]))
+    order = np.lexsort((xs, ys))
+    xs, ys = xs[order], ys[order]
+    level = np.cumsum(np.concatenate((weights, -weights))[order])
+    last = np.ones(len(xs), dtype=bool)
+    last[:-1] = (xs[1:] != xs[:-1]) | (ys[1:] != ys[:-1])
+    edge = np.flatnonzero(np.diff(level[last] >= 1, prepend=False))
+    xs, ys = xs[last], ys[last]
+    return RleImage(np.column_stack((xs[edge[0::2]], xs[edge[1::2]] - 1, ys[edge[0::2]])))
 
 
 class TestBoundingRect:
