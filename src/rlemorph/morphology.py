@@ -40,11 +40,6 @@ from .rle import (
     reflect,
 )
 
-# The horizontal jump set.  The left distance table is the erosion
-# transform w.r.t. JUMP_SET, the right table w.r.t. its reflection.
-JUMP_SET = (Point(-1, 0), Point(0, 0))
-
-
 # What runs the scan: numpy array operations driven from Python.
 BACKEND = "python"
 
@@ -83,7 +78,8 @@ class ErosionTables:
     row_ptr[r] <= i < row_ptr[r + 1]; rows without kept runs take no
     space.  For the kept run that covers pixel x, the left distance is
     x - lx + 1 and the right distance rx - x + 1; both are 0 where no kept
-    run covers x.
+    run covers x.  These are the erosion transforms w.r.t. the horizontal
+    jump set {(-1, 0), (0, 0)} and its reflection.
     """
 
     left: np.ndarray
@@ -103,13 +99,14 @@ class ErosionTables:
         return 0, 0
 
 
-@dataclass
+@dataclass(eq=False)
 class ErodeTrace:
     """Optional instrumentation collected by erode().
 
     Coordinates are in the anchored (pre-final-translation) frame:
     a candidate h means the element translated by -anchor_q was probed at h.
-    Every candidate ends in exactly one jump or one hit.
+    Every candidate ends in exactly one jump or one hit.  jumps and hits
+    are (n, 3) int64 arrays; each erode() call appends its rows to them.
     """
 
     # Skeleton entries probed, all of them at every candidate.
@@ -119,18 +116,19 @@ class ErodeTrace:
     rounds: int = 0
     # (x, y, k): the candidate at (x, y) missed, k its largest deficit over
     # the entries; (x..x+k-1, y) skipped.
-    jumps: list[tuple[int, int, int]] = field(default_factory=list)
+    jumps: np.ndarray = field(default_factory=lambda: np.empty((0, 3), dtype=np.int64))
     # (x, y, n): hit at (x, y) emitted a run of length n.
-    hits: list[tuple[int, int, int]] = field(default_factory=list)
+    hits: np.ndarray = field(default_factory=lambda: np.empty((0, 3), dtype=np.int64))
 
     @property
     def candidates(self) -> int:
         return len(self.jumps) + len(self.hits)
 
     @property
-    def candidate_positions(self) -> list[tuple[int, int]]:
-        """(x, y) of every jump and hit, in (y, x) order."""
-        return sorted(((x, y) for x, y, _ in self.jumps + self.hits), key=lambda p: (p[1], p[0]))
+    def candidate_positions(self) -> np.ndarray:
+        """(n, 2) array of the (x, y) of every jump and hit, in (y, x) order."""
+        p = np.concatenate((self.jumps[:, :2], self.hits[:, :2]))
+        return p[np.lexsort((p[:, 0], p[:, 1]))]
 
 
 def generate_skeleton(se: RleImage) -> SkeletonTable:
@@ -187,7 +185,8 @@ def _scan(tables: ErosionTables, skel: SkeletonTable, trace: ErodeTrace | None) 
     runs = np.concatenate([_scan_chunk(tables, cut[i:i + step], sx, sy, depth, trace)
                            for i in range(0, len(cut), step)])
     if trace is not None:
-        trace.hits.extend((lx, y, rx - lx + 1) for lx, rx, y in runs.tolist())
+        lx, rx, y = runs.T
+        trace.hits = np.concatenate((trace.hits, np.column_stack((lx, y, rx - lx + 1))))
     return runs
 
 
@@ -263,7 +262,7 @@ def _scan_chunk(tables: ErosionTables, cut: np.ndarray, sx: np.ndarray, sy: np.n
         jumps = np.concatenate(jumps, axis=1)
         trace.probes += len(sx) * (jumps.shape[1] + hits.shape[1])
         trace.rounds += n_round
-        trace.jumps.extend(zip(*jumps[1:, np.argsort(jumps[0], kind="stable")].tolist()))
+        trace.jumps = np.concatenate((trace.jumps, jumps[1:, jumps[0].argsort(kind="stable")].T))
     return hits[1:, np.argsort(hits[0], kind="stable")].T
 
 

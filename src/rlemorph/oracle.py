@@ -12,7 +12,6 @@ from .rle import (
     EMPTY,
     Point,
     RleImage,
-    Run,
     bounding_rect,
     from_raster,
     intersect,
@@ -69,20 +68,11 @@ def dilate_naive(x: RleImage, se: RleImage) -> RleImage:
     return from_raster(out, Point(off.x + min(bxs), off.y + min(bys)))
 
 
-def erode_run_by_run(se_run: Run, x_run: Run) -> RleImage:
-    """Erosion of one run by one run: a shifted interval, or empty when the
-    element run is longer."""
-    a, b, yb = se_run.lx, se_run.rx, se_run.y
-    c, d, yx = x_run.lx, x_run.rx, x_run.y
-    if d - b < c - a:
-        return EMPTY
-    return RleImage((Run(c - a, d - b, yx - yb),))
-
-
 def erode_runs(x: RleImage, se: RleImage) -> RleImage:
     """Run-decomposition erosion: intersect over element runs of the union
-    over image runs of the pairwise run erosions (erode_run_by_run, taken
-    for all image runs at once)."""
+    over image runs of the pairwise run erosions: each a shifted interval,
+    or empty when the element run is longer, taken for all image runs at
+    once."""
     if se.is_empty:
         raise EmptyStructuringElementError("empty structuring element")
     c, d, y = x.array.T
@@ -94,18 +84,6 @@ def erode_runs(x: RleImage, se: RleImage) -> RleImage:
         if result.is_empty:
             return EMPTY
     return result
-
-
-def n_fold_erode(x: RleImage, a: RleImage, n: int) -> RleImage:
-    """n successive erosions by a; n = 0 is the identity."""
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    out = x
-    for _ in range(n):
-        if out.is_empty:
-            return EMPTY
-        out = erode_naive(out, a)
-    return out
 
 
 def erosion_transform_naive(x: RleImage, a: RleImage) -> dict[Point, int]:

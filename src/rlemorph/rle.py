@@ -273,13 +273,13 @@ def to_raster(img: RleImage) -> tuple[np.ndarray, Point]:
 
 def translate(img: RleImage, v: Point) -> RleImage:
     vx, vy = v
-    return RleImage(img.array + (vx, vx, vy))
+    return RleImage._built(img.array + (vx, vx, vy))
 
 
 def reflect(img: RleImage) -> RleImage:
     """Point reflection about the origin: {-p : p in img}."""
     # Reversed run order is already sorted for the negated coordinates.
-    return RleImage(-img.array[::-1, [1, 0, 2]])
+    return RleImage._built(-img.array[::-1, [1, 0, 2]])
 
 
 def union(a: RleImage, b: RleImage) -> RleImage:
@@ -326,4 +326,4 @@ def bounding_rect(img: RleImage) -> Optional[Rect]:
 
 def drop_short_runs(img: RleImage, min_length: int) -> RleImage:
     a = img.array
-    return RleImage(a[a[:, 1] - a[:, 0] + 1 >= min_length])
+    return RleImage._built(a[a[:, 1] - a[:, 0] + 1 >= min_length])

@@ -47,10 +47,6 @@ def random_se(rng: random.Random, max_side: int = 9) -> RleImage:
             return from_raster(grid, off)
 
 
-def pixel_set(img: RleImage) -> set:
-    return img.pixel_set()
-
-
 # Hypothesis strategies: small images anywhere near the origin, and
 # rectangles around and across them, from one pixel upwards.
 grids = hnp.arrays(

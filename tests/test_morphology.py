@@ -340,6 +340,12 @@ class TestBuiltRunsAreCompact:
         assert_compact(from_raster(grid, origin))
         assert_compact(from_raster(grid.T[::-1], origin))
 
+    @given(images, points, st.integers(1, 6))
+    def test_translate_reflect_drop_short_runs(self, a, v, min_length):
+        assert_compact(translate(a, v))
+        assert_compact(reflect(a))
+        assert_compact(drop_short_runs(a, min_length))
+
 
 class TestErodeInstrumented:
     def test_candidates_within_x_cut(self):
@@ -353,7 +359,7 @@ class TestErodeInstrumented:
             cut = build_tables(x, skel.l_min, skel.l_max).x_cut
             cut_pixels = cut.pixel_set()
             assert trace.candidates <= cut.pixel_count()
-            assert all(p in cut_pixels for p in trace.candidate_positions)
+            assert all(tuple(p) in cut_pixels for p in trace.candidate_positions.tolist())
             # no candidate among the first l_max - 1 pixels of any run
             for px, py in trace.candidate_positions:
                 run = next(
@@ -415,6 +421,41 @@ class TestErodeInstrumented:
             assert trace.probes <= cut.pixel_count() * len(skel.entries)
 
 
+class TestTraceArrays:
+    """A trace holds its events as (n, 3) int64 arrays."""
+
+    def test_int64_rows_of_three(self):
+        trace, empty = ErodeTrace(), ErodeTrace()
+        erode(blob_image(96, 96, blobs=10, seed=8), diamond_se(7), trace)
+        erode(SOLID_5, square_se(7), empty)  # every run is too short: x_cut is empty
+        for events in (trace.jumps, trace.hits, empty.jumps, empty.hits):
+            assert events.dtype == np.int64 and events.ndim == 2 and events.shape[1] == 3
+        assert len(trace.jumps) and len(trace.hits)
+        assert empty.jumps.shape == empty.hits.shape == (0, 3)
+
+    def test_one_trace_over_two_calls(self):
+        a, b = blob_image(64, 64, blobs=6, seed=1), random_image(32, 24, 0.7, seed=4)
+        both, ta, tb = ErodeTrace(), ErodeTrace(), ErodeTrace()
+        erode(a, square_se(3), both)
+        erode(b, diamond_se(5), both)
+        erode(a, square_se(3), ta)
+        erode(b, diamond_se(5), tb)
+        assert np.array_equal(both.jumps, np.concatenate((ta.jumps, tb.jumps)))
+        assert np.array_equal(both.hits, np.concatenate((ta.hits, tb.hits)))
+        assert (both.probes, both.rounds) == (ta.probes + tb.probes, ta.rounds + tb.rounds)
+
+    def test_candidate_positions_sorted_by_row_then_x(self):
+        rng = random.Random(25)
+        for _ in range(40):
+            trace = ErodeTrace()
+            erode(random_rle_image(rng, 32, 32), random_se(rng), trace)
+            events = trace.jumps.tolist() + trace.hits.tolist()
+            expected = sorted(((x, y) for x, y, _ in events), key=lambda p: (p[1], p[0]))
+            positions = trace.candidate_positions
+            assert positions.shape == (len(expected), 2)
+            assert list(map(tuple, positions.tolist())) == expected
+
+
 class TestScanKernel:
     """The one jump scan serves both traced and untraced erosion."""
 
@@ -427,7 +468,8 @@ class TestScanKernel:
             traced = erode(x, se, trace)
             assert traced == erode(x, se) == erode_naive(x, se)
             q = generate_skeleton(se).anchor_q
-            assert [(lx + q.x, y + q.y, rx - lx + 1) for lx, rx, y in traced.runs] == trace.hits
+            assert [[lx + q.x, y + q.y, rx - lx + 1] for lx, rx, y in traced.runs] == \
+                trace.hits.tolist()
 
     # (candidates, probes, jumps, hits) of the jump scan on fixed cases.  A
     # probe is one skeleton entry at one candidate, so probes = entries x
@@ -626,7 +668,9 @@ class TestScanMatchesReference:
     def check(x, se):
         trace = ErodeTrace()
         out = erode(x, se, trace)
-        assert (trace.jumps, trace.hits, trace.probes) == reference_scan(x, se)
+        jumps, hits, probes = reference_scan(x, se)
+        assert (trace.jumps.tolist(), trace.hits.tolist(), trace.probes) == \
+            ([list(j) for j in jumps], [list(h) for h in hits], probes)
         assert out == erode_naive(x, se)
 
     def test_random_and_blob_cases(self):

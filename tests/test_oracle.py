@@ -7,14 +7,12 @@ import pytest
 from rlemorph.oracle import (
     dilate_naive,
     erode_naive,
-    erode_run_by_run,
     erode_runs,
     erosion_transform_naive,
-    n_fold_erode,
     skeleton_naive,
 )
-from rlemorph.morphology import EmptyStructuringElementError, JUMP_SET
-from rlemorph.rle import EMPTY, Point, Run, normalize, reflect
+from rlemorph.morphology import EmptyStructuringElementError
+from rlemorph.rle import EMPTY, Point, normalize, reflect
 
 from helpers import A, img, random_rle_image, random_se
 
@@ -65,10 +63,6 @@ class TestDilateNaive:
 
 
 class TestErodeRuns:
-    def test_interval_erosion(self):
-        assert erode_run_by_run(Run(0, 2, 0), Run(0, 9, 0)) == img((0, 7, 0))
-        assert erode_run_by_run(Run(0, 5, 0), Run(0, 2, 0)) == EMPTY
-
     def test_solid_case(self):
         assert erode_runs(SOLID_5, SQUARE_3_CENTERED) == erode_naive(
             SOLID_5, SQUARE_3_CENTERED
@@ -88,19 +82,6 @@ class TestErodeRuns:
             x = random_rle_image(rng, 32, 32)
             se = random_se(rng)
             assert erode_runs(x, se) == erode_naive(x, se)
-
-
-class TestNFoldErode:
-    def test_zero_is_identity(self):
-        assert n_fold_erode(SOLID_5, A, 0) == SOLID_5
-
-    def test_two_horizontal_erosions(self):
-        # each erosion by {(-1,0),(0,0)} strips one pixel off the left end
-        assert n_fold_erode(img((0, 3, 0)), A, 1) == img((1, 3, 0))
-        assert n_fold_erode(img((0, 3, 0)), A, 2) == img((2, 3, 0))
-
-    def test_run_vanishes(self):
-        assert n_fold_erode(img((0, 3, 0)), A, 4) == EMPTY
 
 
 class TestErosionTransform:
@@ -129,10 +110,6 @@ class TestErosionTransform:
     def test_requires_origin(self):
         with pytest.raises(ValueError):
             erosion_transform_naive(SOLID_5, img((-2, -1, 0)))
-
-    def test_jump_set_constant(self):
-        assert set(JUMP_SET) == {(-1, 0), (0, 0)}
-        assert A.pixel_set() == set(JUMP_SET)
 
 
 class TestSkeletonNaive:
