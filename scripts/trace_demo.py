@@ -31,7 +31,7 @@ def main(argv=None) -> int:
     se = square_se(args.se_size)
     skel = generate_skeleton(se)
 
-    tables = build_tables(image, skel.l_min, skel.l_max)
+    tables = build_tables(image, skel)
     trace = ErodeTrace()
     result = erode(image, se, trace)
 
@@ -53,12 +53,10 @@ def main(argv=None) -> int:
           f"({trace.candidates / max(total, 1):.0%} of input pixels)")
     print(f"skeleton probes     : {trace.probes:>6}")
     print(f"lockstep rounds     : {trace.rounds:>6}")
-    skipped = sum(k for _, _, k in trace.jumps)
     print(f"jump-on-miss events : {len(trace.jumps):>6} "
-          f"(skipped {skipped} positions)")
-    emitted = sum(n for _, _, n in trace.hits)
+          f"(skipped {trace.jumps[:, 2].sum()} positions)")
     print(f"jump-on-hit events  : {len(trace.hits):>6} "
-          f"(emitted {emitted} pixels without per-pixel checks)")
+          f"(emitted {trace.hits[:, 2].sum()} pixels without per-pixel checks)")
     return 0
 
 

@@ -100,6 +100,8 @@ def load_image_source(source: str) -> RleImage:
         seed = int(seed) if seed else 0
         if kind == "random":
             return generate.random_image(w, h, float(density or 0.5), seed)
+        if density is not None:
+            raise ValueError(f"density applies to random images only: {source!r}")
         return generate.blob_image(w, h, seed=seed)
     m = _RUNS_RE.match(source)
     if m:

@@ -26,6 +26,10 @@ from .rle import RleImage, bounding_rect
 FORMATS = ("pbm1", "pbm4", "rle")
 
 
+class _DomainError(Exception):
+    """An operator refused its valid inputs: exit code 3."""
+
+
 def _load(path: str) -> tuple[RleImage, ImageFileMeta | None]:
     return read_image(Path(path).read_bytes())
 
@@ -67,7 +71,10 @@ def _operator_command(name: str) -> None:
     def command(input_path: str, se_path: str, output: str, fmt: str | None) -> None:
         img, meta = _load(input_path)
         se, _ = _load(se_path)
-        result = getattr(morphology, name)(img, se)
+        try:
+            result = getattr(morphology, name)(img, se)
+        except ValueError as exc:  # the empty element, or a result beyond +-2**61
+            raise _DomainError(exc) from exc
         _save(result, output, fmt, meta)
         click.echo(f"{name}: {len(result)} runs, {result.pixel_count()} pixels", err=True)
 
@@ -171,7 +178,7 @@ def main(argv: list[str] | None = None) -> int:
     except (PbmParseError, RleTextParseError, OSError) as exc:
         click.echo(f"error: {exc}", err=True)
         return 2
-    except (morphology.EmptyStructuringElementError, PbmWriteError) as exc:
+    except (_DomainError, PbmWriteError) as exc:
         click.echo(f"error: {exc}", err=True)
         return 3
     except (click.UsageError, ValueError) as exc:

@@ -70,9 +70,10 @@ class SkeletonTable:
 
 @dataclass(frozen=True)
 class ErosionTables:
-    """Run-indexed left/right distance tables plus the trimmed image x_cut.
+    """Run-indexed left/right distance tables plus the trimmed image x_cut,
+    built for the skeleton skel.
 
-    left and right hold lx and rx of every input run at least l_min long,
+    left and right hold lx and rx of every input run at least skel.l_min long,
     in (y, lx) order.  rows holds the distinct y of those kept runs, in
     order, and the kept runs of row rows[r] are left[i] and right[i] for
     row_ptr[r] <= i < row_ptr[r + 1]; rows without kept runs take no
@@ -87,6 +88,7 @@ class ErosionTables:
     rows: np.ndarray
     row_ptr: np.ndarray
     x_cut: RleImage
+    skel: SkeletonTable
 
     def distances(self, x: int, y: int) -> tuple[int, int]:
         """(left, right) distance at pixel (x, y)."""
@@ -145,44 +147,41 @@ def generate_skeleton(se: RleImage) -> SkeletonTable:
     return SkeletonTable(entries, int(lengths.min()), int(lengths.max()), q)
 
 
-def build_tables(x: RleImage, l_min: int, l_max: int) -> ErosionTables:
-    """Index the input's runs by row and trim the input.
+def build_tables(x: RleImage, skel: SkeletonTable) -> ErosionTables:
+    """Index the input's runs by row and trim the input for skel.
 
     Runs shorter than l_min cannot contain any part of a hit and are left
     out of the tables; runs shorter than l_max vanish from x_cut, the
     survivors lose their first l_max - 1 pixels.
     """
-    if not (1 <= l_min <= l_max):
-        raise ValueError(f"need 1 <= l_min <= l_max, got {l_min}, {l_max}")
     runs = x.array
     lengths = runs[:, 1] - runs[:, 0] + 1
-    kept = runs.compress(lengths >= l_min, axis=0)
+    kept = runs.compress(lengths >= skel.l_min, axis=0)
     # Kept runs are in (y, lx) order, so each row's runs start where y changes.
     y = kept[:, 2]
     row_start = np.ones(len(y), dtype=bool)
     row_start[1:] = y[1:] != y[:-1]
     starts = np.flatnonzero(row_start)
-    cut = runs.compress(lengths >= l_max, axis=0)
-    cut[:, 0] += l_max - 1
+    cut = runs.compress(lengths >= skel.l_max, axis=0)
+    cut[:, 0] += skel.l_max - 1
     return ErosionTables(kept[:, 0].copy(), kept[:, 1].copy(), y[starts],
-                         np.append(starts, len(y)), RleImage._built(cut))
+                         np.append(starts, len(y)), RleImage._built(cut), skel)
 
 
-def erode_check_at(tables: ErosionTables, skel: SkeletonTable, h: Point) -> bool:
-    """True iff the anchored element fits at h: the scan run on h alone
-    hits.  Probes off every kept run read as 0."""
-    return len(_scan(replace(tables, x_cut=RleImage([(h.x, h.x, h.y)])), skel, None)) == 1
+def erode_check_at(tables: ErosionTables, h: Point) -> bool:
+    """True iff the anchored element of the tables' skeleton fits at h: the
+    scan run on h alone hits.  Probes off every kept run read as 0."""
+    return len(_scan(replace(tables, x_cut=RleImage([(h.x, h.x, h.y)])), None)) == 1
 
 
-def _scan(tables: ErosionTables, skel: SkeletonTable, trace: ErodeTrace | None) -> np.ndarray:
+def _scan(tables: ErosionTables, trace: ErodeTrace | None) -> np.ndarray:
     """Jump scan of x_cut.  Returns the eroded runs in the anchored frame as
     (lx, rx, y) rows and adds the scan's counts and events to trace."""
     cut = tables.x_cut.array
     if not len(cut) or not len(tables.left):  # with no kept run nothing fits
         return np.empty((0, 3), dtype=np.int64)
-    sx, sy, depth = skel.entries.T
-    step = max(1, _CHUNK_CELLS // len(sx))
-    runs = np.concatenate([_scan_chunk(tables, cut[i:i + step], sx, sy, depth, trace)
+    step = max(1, _CHUNK_CELLS // len(tables.skel.entries))
+    runs = np.concatenate([_scan_chunk(tables, cut[i:i + step], trace)
                            for i in range(0, len(cut), step)])
     if trace is not None:
         lx, rx, y = runs.T
@@ -190,8 +189,7 @@ def _scan(tables: ErosionTables, skel: SkeletonTable, trace: ErodeTrace | None) 
     return runs
 
 
-def _scan_chunk(tables: ErosionTables, cut: np.ndarray, sx: np.ndarray, sy: np.ndarray,
-                depth: np.ndarray, trace: ErodeTrace | None) -> np.ndarray:
+def _scan_chunk(tables: ErosionTables, cut: np.ndarray, trace: ErodeTrace | None) -> np.ndarray:
     """Scan some x_cut runs in lockstep; returns their hits in (y, x) order.
 
     Every per-cell array is entry-major, (entries, runs), so reductions
@@ -216,6 +214,7 @@ def _scan_chunk(tables: ErosionTables, cut: np.ndarray, sx: np.ndarray, sy: np.n
     each run, and each candidate counts one probe per entry.
     """
     left, right, rows, row_ptr = tables.left, tables.right, tables.rows, tables.row_ptr
+    sx, sy, depth = tables.skel.entries.T
     x, rx0, y0 = cut.T.copy()
     run = np.arange(len(x))
     sx, d1 = sx[:, None], (depth - 1)[:, None]
@@ -280,9 +279,8 @@ def _lower_bound(a: np.ndarray, lo: np.ndarray, hi: np.ndarray, v: np.ndarray) -
 def erode(x: RleImage, se: RleImage, trace: ErodeTrace | None = None) -> RleImage:
     """Exact erosion of x by an arbitrary non-empty structuring element."""
     skel = generate_skeleton(se)
-    tables = build_tables(x, skel.l_min, skel.l_max)
     q = skel.anchor_q
-    return RleImage._built(_scan(tables, skel, trace) - (q.x, q.x, q.y))
+    return RleImage._built(_scan(build_tables(x, skel), trace) - (q.x, q.x, q.y))
 
 
 def dilate(x: RleImage, se: RleImage) -> RleImage:

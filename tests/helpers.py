@@ -7,6 +7,7 @@ import numpy as np
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from rlemorph.morphology import build_tables, generate_skeleton
 from rlemorph.rle import Point, Rect, RleImage, Run, from_raster
 
 
@@ -15,6 +16,12 @@ A = RleImage((Run(-1, 0, 0),))  # {(-1,0), (0,0)}
 
 def img(*runs):
     return RleImage(runs)
+
+
+def trimmed_tables(x, l_min, l_max):
+    """x's tables trimmed by l_min and l_max: built for an element of two
+    rows whose runs are that long."""
+    return build_tables(x, generate_skeleton(img((0, l_max - 1, 0), (0, l_min - 1, 1))))
 
 
 def random_rle_image(

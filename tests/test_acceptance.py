@@ -61,7 +61,7 @@ from rlemorph.rle import (
     translate,
 )
 
-from helpers import A, img, random_rle_image, random_se
+from helpers import A, img, random_rle_image, random_se, trimmed_tables
 
 
 def _corpus(seed, count):
@@ -116,7 +116,7 @@ def test_criterion_3c_table_recurrences():
     rng = random.Random(303)
     for _ in range(30):
         x = random_rle_image(rng, 32, 32)
-        t = build_tables(x, 1, 1)
+        t = trimmed_tables(x, 1, 1)
         for run in x.runs:
             for px in range(run.lx, run.rx + 1):
                 if px > run.lx:
@@ -234,7 +234,7 @@ def test_criterion_5_x_cut_effectiveness():
         x = random_rle_image(rng, 32, 32)
         se = random_se(rng)
         skel = generate_skeleton(se)
-        cut = build_tables(x, skel.l_min, skel.l_max).x_cut
+        cut = build_tables(x, skel).x_cut
         trace = ErodeTrace()
         erode(x, se, trace)
         assert trace.candidates <= cut.pixel_count()
@@ -245,7 +245,7 @@ def test_criterion_5_x_cut_effectiveness():
         solid = img(*[(0, n - 1, y) for y in range(n)])
         se = square_se(k)
         skel = generate_skeleton(se)
-        cut = build_tables(solid, skel.l_min, skel.l_max).x_cut
+        cut = build_tables(solid, skel).x_cut
         assert cut.pixel_count() == n * n - (k - 1) * n
 
     solid5 = img(*[(0, 4, y) for y in range(5)])

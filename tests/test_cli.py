@@ -139,6 +139,20 @@ class TestCliErodeDilate:
         se.write_text("")
         assert main(["erode", str(x), str(se), "-o", str(out)]) == 3
 
+    @pytest.mark.parametrize("op, x, se", [
+        ("erode", img((2**61 - 3, 2**61, 0)), img((-(2**61), -(2**61), 0))),
+        ("dilate", img((2**61 - 3, 2**61 - 3, 0)), square_se(5)),
+    ], ids=["erode", "dilate"])
+    def test_coordinate_bound_exit_code(self, tmp_path, capsys, op, x, se):
+        # Valid inputs whose result, or dilation's complement rectangle,
+        # leaves +-2**61: a domain error, not a usage error.
+        paths = [tmp_path / name for name in ("x.rle", "se.rle", "out.rle")]
+        paths[0].write_text(write_rle_text(x))
+        paths[1].write_text(write_rle_text(se))
+        assert main([op, str(paths[0]), str(paths[1]), "-o", str(paths[2])]) == 3
+        assert "beyond" in capsys.readouterr().err
+        assert not paths[2].exists()
+
     def test_parse_error_exit_code(self, tmp_path):
         x = tmp_path / "x.rle"
         se = tmp_path / "se.rle"
@@ -337,6 +351,15 @@ class TestBench:
             *[(s, s + 9, s + y) for s in (0, 100) for y in range(3)])
         assert load_image_source("gap:1000") == img((0, 1000, 0), (0, 1000, 1), (0, 5, 2))
         assert load_image_source("tall:7") == img((0, 5, 0), (0, 5, 7))
+
+    def test_blobs_density_rejected(self, tmp_path, capsys):
+        # Blob images take no density; one given is refused, not ignored.
+        with pytest.raises(ValueError, match="density"):
+            load_image_source("blobs:32x24:density=0.9:seed=4")
+        code = main(["bench", "--image", "blobs:32x24:density=0.9:seed=4",
+                     "--csv", str(tmp_path / "b.csv")])
+        assert code == 1
+        assert "density" in capsys.readouterr().err
 
     def test_diamond_sweep(self):
         config = BenchConfig(image_source="blobs:32x24:seed=4", se_shape="diamond",
