@@ -1,34 +1,33 @@
 #!/usr/bin/env python3
 """Show the pixel-skipping behaviour of the jump scan on a small example.
 
-Erodes a random image with a square element while collecting the
+Erodes an image by a structuring element while collecting the
 instrumentation trace, then prints the backend of the scan, the
 size of the run-indexed distance tables, how many candidate positions were
 actually probed versus the total pixel count, the lockstep rounds of the
-scan, and the jump/hit events.
+scan, and the jump/hit events.  IMAGE and SE are file paths or specs as
+the rlemorph command line takes them.
 
 Usage:
-    python3 scripts/trace_demo.py [--width 32] [--height 32]
-                                  [--density 0.6] [--seed 7] [--se-size 3]
+    python3 scripts/trace_demo.py [IMAGE [SE]]
+        (defaults: random:32x32:density=0.6:seed=7 square:3)
 """
 import argparse
 import sys
 
-from rlemorph.generate import random_image, square_se
+from rlemorph.bench import load_image_source
 from rlemorph.morphology import BACKEND, ErodeTrace, build_tables, erode, generate_skeleton
 
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--width", type=int, default=32)
-    ap.add_argument("--height", type=int, default=32)
-    ap.add_argument("--density", type=float, default=0.6)
-    ap.add_argument("--seed", type=int, default=7)
-    ap.add_argument("--se-size", type=int, default=3)
+    ap.add_argument("image", metavar="IMAGE", nargs="?",
+                    default="random:32x32:density=0.6:seed=7")
+    ap.add_argument("se", metavar="SE", nargs="?", default="square:3")
     args = ap.parse_args(argv)
 
-    image = random_image(args.width, args.height, args.density, args.seed)
-    se = square_se(args.se_size)
+    image, _ = load_image_source(args.image)
+    se, _ = load_image_source(args.se)
     skel = generate_skeleton(se)
 
     tables = build_tables(image, skel)
@@ -38,7 +37,7 @@ def main(argv=None) -> int:
     total = image.pixel_count()
     print(f"backend: {BACKEND}")
     print(f"input: {total} pixels in {len(image)} runs")
-    print(f"element: {args.se_size}x{args.se_size} square, "
+    print(f"element: {args.se}, "
           f"{len(skel.entries)} skeleton entries, "
           f"l_min={skel.l_min}, l_max={skel.l_max}")
     print(f"output: {result.pixel_count()} pixels in {len(result)} runs")

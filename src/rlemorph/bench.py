@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Callable
 
 from . import generate, morphology, oracle
-from .imgio import read_image
+from .imgio import ImageFileMeta, read_image
 from .rle import RleImage, normalize
 
 CSV_FIELDS = [
@@ -76,49 +76,56 @@ class BenchConfig:
 _SYNTH_RE = re.compile(
     r"^(random|blobs):(\d+)x(\d+)(?::density=([0-9.]+))?(?::seed=(\d+))?$"
 )
-# Images of a few runs whose bounding box grows with one parameter, so a
-# sweep over it shows whether a cost follows the runs or the box.
-_RUNS_RE = re.compile(r"^(sparse|gap|tall):(\d+)$")
-_RUNS_IMAGES = {
+# Images of one size parameter: the structuring elements, and images of a
+# few runs whose bounding box grows with it, so a sweep over it shows
+# whether a cost follows the runs or the box.
+_SIZED_IMAGES = {
+    **generate.ELEMENTS,
     # two 10x3 blocks at (0, 0) and (s, s)
-    "sparse": lambda s: [(dx, dx + 9, dx + y) for dx in (0, s) for y in range(3)],
+    "sparse": lambda s: normalize([(dx, dx + 9, dx + y) for dx in (0, s) for y in range(3)]),
     # two rows w + 1 wide over a 6-wide row: gaps an erosion must cross
-    "gap": lambda w: [(0, w, 0), (0, w, 1), (0, 5, 2)],
+    "gap": lambda w: normalize([(0, w, 0), (0, w, 1), (0, 5, 2)]),
     # two 6-wide runs h rows apart
-    "tall": lambda h: [(0, 5, 0), (0, 5, h)],
+    "tall": lambda h: normalize([(0, 5, 0), (0, 5, h)]),
 }
+_SIZED_RE = re.compile(rf"^({'|'.join(_SIZED_IMAGES)}):(\d+)$")
 
 
-def load_image_source(source: str) -> RleImage:
-    """A file path, or a synthetic spec: 'blobs:1024x1024:seed=1',
-    'random:256x256:density=0.4:seed=7', or one of the few-run images
-    'sparse:S', 'gap:W' and 'tall:H'."""
+def load_image_source(source: str) -> tuple[RleImage, ImageFileMeta | None]:
+    """The image named by source, with its canvas as read_image gives it.
+
+    source is a synthetic spec, 'random:WxH[:density=D][:seed=N]',
+    'blobs:WxH[:seed=N]' (both on a W x H canvas), 'square:K', 'diamond:K',
+    'sparse:S', 'gap:W' or 'tall:H'; anything else is read as a file path.
+    """
     m = _SYNTH_RE.match(source)
     if m:
         kind, w, h, density, seed = m.groups()
         w, h = int(w), int(h)
         seed = int(seed) if seed else 0
         if kind == "random":
-            return generate.random_image(w, h, float(density or 0.5), seed)
-        if density is not None:
+            image = generate.random_image(w, h, float(density or 0.5), seed)
+        elif density is not None:
             raise ValueError(f"density applies to random images only: {source!r}")
-        return generate.blob_image(w, h, seed=seed)
-    m = _RUNS_RE.match(source)
+        else:
+            image = generate.blob_image(w, h, seed=seed)
+        return image, ImageFileMeta(w, h)
+    m = _SIZED_RE.match(source)
     if m:
-        return normalize(_RUNS_IMAGES[m[1]](int(m[2])))
-    return read_image(Path(source).read_bytes())[0]
+        return _SIZED_IMAGES[m[1]](int(m[2])), None
+    return read_image(Path(source).read_bytes())
 
 
 def _make_se(config: BenchConfig, size: int) -> RleImage:
     if config.se_shape == "file":
-        return load_image_source(config.se_path)
+        return load_image_source(config.se_path)[0]
     return generate.ELEMENTS[config.se_shape](size)
 
 
 def run_bench(
     config: BenchConfig, clock: Callable[[], float] = time.perf_counter
 ) -> list[dict]:
-    image = load_image_source(config.image_source)
+    image, _ = load_image_source(config.image_source)
     rows: list[dict] = []
     for size in config.se_sizes:
         se = None

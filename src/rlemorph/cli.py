@@ -1,6 +1,7 @@
 """Command-line front end.
 
-Subcommands: erode, dilate, gen-se, gen-image, bench, convert.
+Subcommands: erode, dilate, convert, bench; every image argument is read
+by bench.load_image_source, as a file path or a spec such as square:31.
 Exit codes: 0 success, 1 usage error, 2 IO/parse error, 3 domain error.
 """
 from __future__ import annotations
@@ -11,13 +12,12 @@ from pathlib import Path
 import click
 
 from . import generate, morphology
-from .bench import BenchConfig, rows_to_csv, rows_to_table, run_bench
+from .bench import BenchConfig, load_image_source, rows_to_csv, rows_to_table, run_bench
 from .imgio import (
     ImageFileMeta,
     PbmParseError,
     PbmWriteError,
     RleTextParseError,
-    read_image,
     write_pbm,
     write_rle_text,
 )
@@ -28,10 +28,6 @@ FORMATS = ("pbm1", "pbm4", "rle")
 
 class _DomainError(Exception):
     """An operator refused its valid inputs: exit code 3."""
-
-
-def _load(path: str) -> tuple[RleImage, ImageFileMeta | None]:
-    return read_image(Path(path).read_bytes())
 
 
 def _save(img: RleImage, path: str, fmt: str | None, meta: ImageFileMeta | None) -> None:
@@ -51,7 +47,11 @@ def _save(img: RleImage, path: str, fmt: str | None, meta: ImageFileMeta | None)
 
 @click.group()
 def cli() -> None:
-    """Fast morphology on run-length encoded binary images."""
+    """Fast morphology on run-length encoded binary images.
+
+    An image argument is a file path or a spec: random:WxH[:density=D][:seed=N],
+    blobs:WxH[:seed=N], square:K, diamond:K, sparse:S, gap:W or tall:H.
+    """
 
 
 _output_opt = click.option("-o", "--output", required=True, help="output image path")
@@ -69,8 +69,8 @@ def _operator_command(name: str) -> None:
     @_output_opt
     @_format_opt
     def command(input_path: str, se_path: str, output: str, fmt: str | None) -> None:
-        img, meta = _load(input_path)
-        se, _ = _load(se_path)
+        img, meta = load_image_source(input_path)
+        se, _ = load_image_source(se_path)
         try:
             result = getattr(morphology, name)(img, se)
         except ValueError as exc:  # the empty element, or a result beyond +-2**61
@@ -81,46 +81,6 @@ def _operator_command(name: str) -> None:
 
 _operator_command("erode")
 _operator_command("dilate")
-
-
-@cli.command("gen-se")
-@click.argument("shape", type=click.Choice(list(generate.ELEMENTS)))
-@click.argument("size", type=int)
-@_output_opt
-def cmd_gen_se(shape: str, size: int, output: str) -> None:
-    """Write a SIZE x SIZE origin-centered structuring element as RLE text."""
-    Path(output).write_text(write_rle_text(generate.ELEMENTS[shape](size)))
-
-
-@cli.command("gen-image")
-@click.argument("kind", type=click.Choice(["random", "blobs"]))
-@click.option("--width", type=int, required=True)
-@click.option("--height", type=int, required=True)
-@click.option("--density", type=float, default=0.5, help="random kind only")
-@click.option("--blobs", "blob_count", type=int, default=40, help="blobs kind only")
-@click.option("--min-size", type=int, default=8)
-@click.option("--max-size", type=int, default=64)
-@click.option("--seed", type=int, default=0)
-@_output_opt
-@_format_opt
-def cmd_gen_image(
-    kind: str,
-    width: int,
-    height: int,
-    density: float,
-    blob_count: int,
-    min_size: int,
-    max_size: int,
-    seed: int,
-    output: str,
-    fmt: str | None,
-) -> None:
-    """Generate a deterministic synthetic test image."""
-    if kind == "random":
-        img = generate.random_image(width, height, density, seed)
-    else:
-        img = generate.blob_image(width, height, blob_count, min_size, max_size, seed)
-    _save(img, output, fmt, ImageFileMeta(width, height))
 
 
 @cli.command("bench")
@@ -167,8 +127,8 @@ def cmd_bench(
 @_output_opt
 @_format_opt
 def cmd_convert(input_path: str, output: str, fmt: str | None) -> None:
-    """Loss-free conversion between PBM and RLE text."""
-    img, meta = _load(input_path)
+    """Write INPUT, a file or a synthetic spec, as PBM or RLE text."""
+    img, meta = load_image_source(input_path)
     _save(img, output, fmt, meta)
 
 

@@ -53,13 +53,14 @@ class EmptyStructuringElementError(ValueError):
     image."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SkeletonTable:
     """Skeleton of the structuring element translated so that the rightmost
     pixel of its longest run sits at the origin.
 
     entries: read-only (E, 3) int64 array, one row (sx, sy, depth) per run
     in (y, lx) order: (sx, sy) is the run's rightmost pixel, depth its length.
+    Compared and hashed by identity, as an array has no single truth value.
     """
 
     entries: np.ndarray
@@ -68,7 +69,7 @@ class SkeletonTable:
     anchor_q: Point
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ErosionTables:
     """Run-indexed left/right distance tables plus the trimmed image x_cut,
     built for the skeleton skel.
@@ -80,7 +81,8 @@ class ErosionTables:
     space.  For the kept run that covers pixel x, the left distance is
     x - lx + 1 and the right distance rx - x + 1; both are 0 where no kept
     run covers x.  These are the erosion transforms w.r.t. the horizontal
-    jump set {(-1, 0), (0, 0)} and its reflection.
+    jump set {(-1, 0), (0, 0)} and its reflection.  Compared and hashed by
+    identity, as SkeletonTable is.
     """
 
     left: np.ndarray

@@ -281,7 +281,7 @@ def test_criterion_7_cli_end_to_end(tmp_path):
     se = tmp_path / "se.rle"
     out = tmp_path / "out.rle"
     x.write_text(write_rle_text(img(*[(0, 4, y) for y in range(5)])))
-    assert main(["gen-se", "square", "3", "-o", str(se)]) == 0
+    assert main(["convert", "square:3", "-o", str(se)]) == 0
     assert main(["erode", str(x), str(se), "-o", str(out)]) == 0
     assert read_rle_text(out.read_text()) == img((1, 3, 1), (1, 3, 2), (1, 3, 3))
 

@@ -20,7 +20,7 @@ from rlemorph.bench import (
 )
 from rlemorph.cli import main
 from rlemorph.generate import blob_image, diamond_se, random_image, square_se
-from rlemorph.imgio import read_rle_text, write_rle_text
+from rlemorph.imgio import ImageFileMeta, read_rle_text, write_rle_text
 from rlemorph.rle import EMPTY, Point, from_raster, reflect
 
 from helpers import img, random_rle_image
@@ -184,35 +184,58 @@ class TestCliErodeDilate:
 
 
 class TestCliGen:
+    """Elements and test images written by convert from a spec."""
+
     def test_gen_se(self, tmp_path):
         out = tmp_path / "se.rle"
-        assert main(["gen-se", "square", "3", "-o", str(out)]) == 0
+        assert main(["convert", "square:3", "-o", str(out)]) == 0
         assert read_rle_text(out.read_text()) == square_se(3)
-        assert main(["gen-se", "diamond", "3", "-o", str(out)]) == 0
+        assert main(["convert", "diamond:3", "-o", str(out)]) == 0
         assert read_rle_text(out.read_text()) == diamond_se(3)
 
     def test_gen_se_even_size(self, tmp_path):
-        assert main(["gen-se", "square", "4", "-o", str(tmp_path / "se.rle")]) == 1
+        assert main(["convert", "square:4", "-o", str(tmp_path / "se.rle")]) == 1
 
     def test_gen_image_deterministic(self, tmp_path):
         a = tmp_path / "a.rle"
         b = tmp_path / "b.rle"
-        args = ["gen-image", "random", "--width", "20", "--height", "10",
-                "--density", "0.3", "--seed", "5"]
-        assert main(args + ["-o", str(a)]) == 0
-        assert main(args + ["-o", str(b)]) == 0
+        spec = "random:20x10:density=0.3:seed=5"
+        assert main(["convert", spec, "-o", str(a)]) == 0
+        assert main(["convert", spec, "-o", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
-    def test_gen_image_blobs_options(self, tmp_path):
-        out = tmp_path / "b.rle"
-        assert main(["gen-image", "blobs", "--width", "40", "--height", "30",
-                     "--blobs", "5", "--min-size", "2", "--max-size", "9",
-                     "--seed", "3", "-o", str(out)]) == 0
-        assert read_rle_text(out.read_text()) == blob_image(40, 30, 5, 2, 9, 3)
-
     def test_gen_image_bad_density(self, tmp_path):
-        assert main(["gen-image", "random", "--width", "4", "--height", "4",
-                     "--density", "1.5", "-o", str(tmp_path / "a.rle")]) == 1
+        assert main(["convert", "random:4x4:density=1.5",
+                     "-o", str(tmp_path / "a.rle")]) == 1
+
+
+SPECS = ["random:16x8:density=0.3:seed=5", "random:9x4", "blobs:40x30:seed=3",
+         "square:5", "diamond:7", "sparse:50", "gap:100", "tall:20"]
+
+
+class TestCliSpecs:
+    @pytest.mark.parametrize("spec", SPECS)
+    def test_spec_as_input_and_element(self, tmp_path, spec):
+        x, se, a, b = (tmp_path / name for name in ("x.rle", "se.rle", "a.rle", "b.rle"))
+        assert main(["convert", spec, "-o", str(se)]) == 0
+        assert read_rle_text(se.read_text()) == load_image_source(spec)[0]
+        x.write_text(write_rle_text(blob_image(24, 16, 6, 2, 9, seed=1)))
+        for op in ("erode", "dilate"):
+            assert main([op, str(x), spec, "-o", str(a)]) == 0
+            assert main([op, str(x), str(se), "-o", str(b)]) == 0
+            assert a.read_bytes() == b.read_bytes()
+
+    def test_empty_random_image_keeps_its_canvas(self, tmp_path):
+        out = tmp_path / "e.pbm"
+        assert main(["convert", "random:8x8:density=0.0", "-o", str(out)]) == 0
+        assert out.read_bytes() == b"P1\n8 8\n" + b"0 0 0 0 0 0 0 0\n" * 8
+
+    def test_exit_codes(self, tmp_path):
+        x, out = str(tmp_path / "x.rle"), str(tmp_path / "o.rle")
+        (tmp_path / "x.rle").write_text("0 0 4\n")
+        assert main(["erode", x, "square:4", "-o", out]) == 1
+        assert main(["dilate", "blobs:8x8:density=0.5", "square:3", "-o", out]) == 1
+        assert main(["convert", str(tmp_path / "no.rle"), "-o", out]) == 2
 
 
 class TestCliConvert:
@@ -220,8 +243,7 @@ class TestCliConvert:
         pbm = tmp_path / "a.pbm"
         rle = tmp_path / "a.rle"
         back = tmp_path / "b.pbm"
-        assert main(["gen-image", "random", "--width", "12", "--height", "7",
-                     "--density", "0.5", "--seed", "2", "-o", str(pbm),
+        assert main(["convert", "random:12x7:density=0.5:seed=2", "-o", str(pbm),
                      "--format", "pbm1"]) == 0
         assert main(["convert", str(pbm), "-o", str(rle)]) == 0
         assert main(["convert", str(rle), "-o", str(back), "--format", "pbm1"]) == 0
@@ -345,12 +367,16 @@ class TestBench:
     def test_synthetic_source(self):
         a = load_image_source("random:16x8:density=0.5:seed=3")
         b = load_image_source("random:16x8:density=0.5:seed=3")
-        assert a == b and not a.is_empty
-        assert load_image_source("blobs:32x24:seed=4") == blob_image(32, 24, seed=4)
-        assert load_image_source("sparse:100") == img(
-            *[(s, s + 9, s + y) for s in (0, 100) for y in range(3)])
-        assert load_image_source("gap:1000") == img((0, 1000, 0), (0, 1000, 1), (0, 5, 2))
-        assert load_image_source("tall:7") == img((0, 5, 0), (0, 5, 7))
+        assert a == b and not a[0].is_empty and a[1] == ImageFileMeta(16, 8)
+        assert load_image_source("blobs:32x24:seed=4") == (
+            blob_image(32, 24, seed=4), ImageFileMeta(32, 24))
+        assert load_image_source("sparse:100") == (img(
+            *[(s, s + 9, s + y) for s in (0, 100) for y in range(3)]), None)
+        assert load_image_source("gap:1000") == (
+            img((0, 1000, 0), (0, 1000, 1), (0, 5, 2)), None)
+        assert load_image_source("tall:7") == (img((0, 5, 0), (0, 5, 7)), None)
+        assert load_image_source("square:5") == (square_se(5), None)
+        assert load_image_source("diamond:5") == (diamond_se(5), None)
 
     def test_blobs_density_rejected(self, tmp_path, capsys):
         # Blob images take no density; one given is refused, not ignored.
@@ -479,10 +505,12 @@ class TestScripts:
         spec = importlib.util.spec_from_file_location("trace_demo", path)
         trace_demo = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(trace_demo)
-        assert trace_demo.main(["--width", "12", "--height", "6", "--seed", "3"]) == 0
-        out = capsys.readouterr().out
-        for label in ("candidates examined", "jump-on-miss events", "jump-on-hit events"):
-            assert label in out
-        assert re.search(r"^tables: \d+ kept runs, left \d+ B, right \d+ B, "
-                         r"row_ptr \d+ B, \d+ x_cut runs$", out, re.M)
-        assert out.splitlines()[0] == f"backend: {morphology.BACKEND}"
+        for argv in (["random:12x6:density=0.6:seed=3"], ["sparse:4000", "diamond:5"]):
+            assert trace_demo.main(argv) == 0
+            out = capsys.readouterr().out
+            for label in ("candidates examined", "jump-on-miss events",
+                          "jump-on-hit events"):
+                assert label in out
+            assert re.search(r"^tables: \d+ kept runs, left \d+ B, right \d+ B, "
+                             r"row_ptr \d+ B, \d+ x_cut runs$", out, re.M)
+            assert out.splitlines()[0] == f"backend: {morphology.BACKEND}"

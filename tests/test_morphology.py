@@ -135,6 +135,14 @@ class TestBuildTables:
         assert all(t.distances(px, py) == (0, 0) for px in range(-1, 5) for py in (-1, 1))
         assert all(t.distances(px, py) == (0, 0) for px in (-1, 4) for py in (-1, 0, 1))
 
+    def test_compared_and_hashed_by_identity(self):
+        # Generated __eq__/__hash__ over ndarray fields would raise here.
+        skel, other = generate_skeleton(square_se(3)), generate_skeleton(square_se(3))
+        tables = build_tables(SOLID_5, skel)
+        assert skel == skel and skel != other
+        assert tables == tables and tables != build_tables(SOLID_5, skel)
+        assert len({skel, other, tables}) == 3
+
     def test_left_right_sum_invariant(self):
         rng = random.Random(12)
         for _ in range(30):
@@ -577,7 +585,7 @@ class TestMemoryBoundedByRuns:
         # Keep these sizes while dilate's memory follows the box.
         peaks = []
         for source in (small, large):
-            x = load_image_source(source)
+            x, _ = load_image_source(source)
             tracemalloc.start()
             try:
                 dilate(x, square_se(3))
