@@ -1,7 +1,7 @@
-"""Benchmark sweep over structuring-element sizes and algorithm variants.
+"""Benchmark sweep over structuring elements and algorithm variants.
 
-Only the operator call is timed; loading, generation and encoding stay
-outside the timed section.  One warm-up call per case is discarded, then
+The image and every element are loaded once, before any timing; only the
+operator call is timed.  One warm-up call per case is discarded, then
 the mean over the configured number of iterations is reported.  Failing
 cases get a status note instead of aborting the sweep.  The rows are
 written as CSV (``rows_to_csv``) or as an aligned table (``rows_to_table``).
@@ -20,16 +20,7 @@ from . import generate, morphology, oracle
 from .imgio import ImageFileMeta, read_image
 from .rle import RleImage, normalize
 
-CSV_FIELDS = [
-    "algorithm",
-    "op",
-    "se_shape",
-    "se_size",
-    "mean_ms",
-    "runs_out",
-    "pixels_out",
-    "status",
-]
+CSV_FIELDS = ["algorithm", "op", "se", "mean_ms", "runs_out", "pixels_out", "status"]
 
 _OPERATORS: dict[str, Callable[[RleImage, RleImage], RleImage]] = {
     "fast-erode": morphology.erode,
@@ -48,26 +39,17 @@ class BenchConfigError(ValueError):
 @dataclass
 class BenchConfig:
     image_source: str
-    se_shape: str = "square"  # square | diamond | file
-    se_sizes: tuple[int, ...] = (3,)
+    elements: tuple[str, ...] = ("square:3",)
     algorithms: tuple[str, ...] = ("fast-erode",)
     iterations: int = 3
-    se_path: str | None = None
 
     def __post_init__(self) -> None:
-        if not self.se_sizes:
-            raise BenchConfigError("se_sizes must not be empty")
+        if not self.elements:
+            raise BenchConfigError("elements must not be empty")
         if not self.algorithms:
             raise BenchConfigError("algorithms must not be empty")
         if self.iterations < 1:
             raise BenchConfigError("iterations must be >= 1")
-        if self.se_shape not in (*generate.ELEMENTS, "file"):
-            raise BenchConfigError(f"unknown se_shape {self.se_shape!r}")
-        if self.se_shape == "file" and not self.se_path:
-            raise BenchConfigError("se_shape 'file' requires se_path")
-        if self.se_shape == "file" and len(self.se_sizes) > 1:
-            # The element comes whole from se_path; each size would time it again.
-            raise BenchConfigError("se_shape 'file' takes a single se_sizes entry")
         for algo in self.algorithms:
             if algo not in ALGORITHMS:
                 raise BenchConfigError(f"unknown algorithm {algo!r}")
@@ -116,26 +98,20 @@ def load_image_source(source: str) -> tuple[RleImage, ImageFileMeta | None]:
     return read_image(Path(source).read_bytes())
 
 
-def _make_se(config: BenchConfig, size: int) -> RleImage:
-    if config.se_shape == "file":
-        return load_image_source(config.se_path)[0]
-    return generate.ELEMENTS[config.se_shape](size)
-
-
 def run_bench(
     config: BenchConfig, clock: Callable[[], float] = time.perf_counter
 ) -> list[dict]:
+    """One row per element and algorithm, element-major.  The image and the
+    elements are read before any timing; an operator's refusal is a row status."""
     image, _ = load_image_source(config.image_source)
+    elements = [(spec, load_image_source(spec)[0]) for spec in config.elements]
     rows: list[dict] = []
-    for size in config.se_sizes:
-        se = None
+    for spec, se in elements:
         for algo in config.algorithms:
             kind, op = algo.split("-")
             row = dict.fromkeys(CSV_FIELDS, "")
-            row.update(algorithm=kind, op=op, se_shape=config.se_shape, se_size=size)
+            row.update(algorithm=kind, op=op, se=spec)
             try:
-                if se is None:  # built once per size, or tried again after an error
-                    se = _make_se(config, size)
                 fn = _OPERATORS[algo]
                 fn(image, se)  # warm-up, not timed
                 elapsed = []
@@ -162,11 +138,12 @@ def rows_to_csv(rows: list[dict]) -> str:
 
 
 def rows_to_table(rows: list[dict]) -> str:
-    lines = [f"{'algorithm':<10} {'op':<7} {'size':>5} {'mean_ms':>10} "
+    w = max(map(len, ["se", *(r["se"] for r in rows)]))
+    lines = [f"{'algorithm':<10} {'op':<7} {'se':<{w}} {'mean_ms':>10} "
              f"{'runs':>8} {'pixels':>10}  status"]
     for r in rows:
         ms = f"{r['mean_ms']:.3f}" if r["mean_ms"] != "" else "-"
-        lines.append(f"{r['algorithm']:<10} {r['op']:<7} {r['se_size']:>5} "
+        lines.append(f"{r['algorithm']:<10} {r['op']:<7} {r['se']:<{w}} "
                      f"{ms:>10} {str(r['runs_out']):>8} "
                      f"{str(r['pixels_out']):>10}  {r['status']}")
     return "".join(line + "\n" for line in lines)

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import click
 
-from . import generate, morphology
+from . import morphology
 from .bench import BenchConfig, load_image_source, rows_to_csv, rows_to_table, run_bench
 from .imgio import (
     ImageFileMeta,
@@ -65,12 +65,12 @@ def _operator_command(name: str) -> None:
 
     @cli.command(name, help=f"{name.capitalize()} INPUT by the structuring element SE.")
     @click.argument("input_path", metavar="INPUT")
-    @click.argument("se_path", metavar="SE")
+    @click.argument("se_source", metavar="SE")
     @_output_opt
     @_format_opt
-    def command(input_path: str, se_path: str, output: str, fmt: str | None) -> None:
+    def command(input_path: str, se_source: str, output: str, fmt: str | None) -> None:
         img, meta = load_image_source(input_path)
-        se, _ = load_image_source(se_path)
+        se, _ = load_image_source(se_source)
         try:
             result = getattr(morphology, name)(img, se)
         except ValueError as exc:  # the empty element, or a result beyond +-2**61
@@ -86,35 +86,20 @@ _operator_command("dilate")
 @cli.command("bench")
 @click.option("--image", "image_source", required=True,
               help="input path or synthetic spec like blobs:1024x1024:seed=1 or gap:1000000")
-@click.option("--se-shape", type=click.Choice([*generate.ELEMENTS, "file"]),
-              default="square")
-@click.option("--se-sizes", default="3", help="comma-separated odd sizes")
-@click.option("--se-path", default=None, help="element file for --se-shape file")
+@click.option("--se", "elements", multiple=True, default=["square:3"], show_default=True,
+              help="element path or spec like diamond:11; repeat to sweep elements")
 @click.option("--algos", default="fast-erode", help="comma-separated algorithm list")
 @click.option("--iterations", type=int, default=3)
 @click.option("--csv", "csv_path", required=True, help="output CSV path")
-def cmd_bench(
-    image_source: str,
-    se_shape: str,
-    se_sizes: str,
-    se_path: str | None,
-    algos: str,
-    iterations: int,
-    csv_path: str,
-) -> None:
-    """Time operator calls over a structuring-element size sweep; write the
-    rows to the CSV file and print them as a table."""
-    try:
-        sizes = tuple(int(s) for s in se_sizes.split(",") if s.strip())
-    except ValueError:
-        raise click.BadParameter(f"bad --se-sizes {se_sizes!r}")
+def cmd_bench(image_source: str, elements: tuple[str, ...], algos: str, iterations: int,
+              csv_path: str) -> None:
+    """Time operator calls over a structuring-element sweep; write the rows
+    to the CSV file and print them as a table."""
     config = BenchConfig(
         image_source=image_source,
-        se_shape=se_shape,
-        se_sizes=sizes,
+        elements=elements,
         algorithms=tuple(a.strip() for a in algos.split(",") if a.strip()),
         iterations=iterations,
-        se_path=se_path,
     )
     rows = run_bench(config)
     Path(csv_path).write_text(rows_to_csv(rows))

@@ -14,6 +14,7 @@ pure; images are immutable and safe to share.
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, Optional
 
@@ -73,21 +74,30 @@ class Rect:
 COORD_LIMIT = 2**61
 
 
+def _integer_type(t: type) -> bool:
+    return issubclass(t, numbers.Integral) and t is not bool
+
+
 def _as_runs(runs) -> np.ndarray:
     """The runs as a new (n, 3) int64 array; raises ValueError unless each
-    is a row (lx, rx, y) with lx <= rx and coordinates within COORD_LIMIT."""
-    runs = runs if isinstance(runs, np.ndarray) else list(runs)
-    try:
+    is a row (lx, rx, y) of integers with lx <= rx and coordinates within
+    COORD_LIMIT."""
+    if isinstance(runs, np.ndarray) and runs.dtype.kind == "i":
         a = np.array(runs, dtype=np.int64, order="C")
-    except OverflowError:  # beyond int64: keep Python ints to name the run
-        a = np.array(runs, dtype=object)
+    else:  # as Python objects, so that a float, string or bool is refused, not cast
+        a = np.array(runs.tolist() if isinstance(runs, np.ndarray) else list(runs), dtype=object)
     if a.shape == (0,):
         a = a.reshape(0, 3)
     if a.ndim != 2 or a.shape[1] != 3:
         raise ValueError(f"runs must be n rows of (lx, rx, y), got shape {a.shape}")
+    if a.dtype == object and not all(map(_integer_type, set(map(type, a.flat)))):
+        i = next(i for i, run in enumerate(a.tolist())
+                 if not all(_integer_type(type(v)) for v in run))
+        raise ValueError(f"run {Run(*a[i].tolist())} has a non-integer coordinate")
     if a.size and (a.min() < -COORD_LIMIT or a.max() > COORD_LIMIT):
         i = np.flatnonzero(((a < -COORD_LIMIT) | (a > COORD_LIMIT)).any(axis=1))[0]
         raise ValueError(f"run {Run(*a[i].tolist())} has a coordinate beyond +-2**61")
+    a = a.astype(np.int64, copy=False)
     bad = np.flatnonzero(a[:, 0] > a[:, 1])
     if bad.size:
         raise ValueError(f"malformed run {Run(*a[bad[0]].tolist())}: lx > rx")
@@ -272,8 +282,11 @@ def to_raster(img: RleImage) -> tuple[np.ndarray, Point]:
 
 
 def translate(img: RleImage, v: Point) -> RleImage:
+    """{p + v : p in img}; v must be a pair of int64 integers."""
     vx, vy = v
-    return RleImage._built(img.array + (vx, vx, vy))
+    if not all(_integer_type(type(c)) and -2**63 <= int(c) < 2**63 for c in (vx, vy)):
+        raise ValueError(f"offset {v!r} is not a pair of int64 integers")
+    return RleImage._built(img.array + np.array((vx, vx, vy), dtype=np.int64))
 
 
 def reflect(img: RleImage) -> RleImage:

@@ -293,7 +293,7 @@ def test_criterion_7_cli_end_to_end(tmp_path):
 
     config = BenchConfig(
         image_source=str(x),
-        se_sizes=(3, 5),
+        elements=("square:3", "square:5"),
         algorithms=("fast-erode", "fast-dilate"),
         iterations=3,
     )

@@ -285,24 +285,20 @@ class TestCliConvert:
 
 class TestBench:
     def test_config_validation(self):
-        with pytest.raises(BenchConfigError):
-            BenchConfig(image_source="x", se_sizes=())
+        with pytest.raises(BenchConfigError, match="elements"):
+            BenchConfig(image_source="x", elements=())
         with pytest.raises(BenchConfigError, match="algorithms"):
             BenchConfig(image_source="x", algorithms=())
         with pytest.raises(BenchConfigError):
             BenchConfig(image_source="x", iterations=0)
         with pytest.raises(BenchConfigError):
             BenchConfig(image_source="x", algorithms=("warp-erode",))
-        with pytest.raises(BenchConfigError, match="se_shape"):
-            BenchConfig(image_source="x", se_shape="disc")
-        with pytest.raises(BenchConfigError, match="se_path"):
-            BenchConfig(image_source="x", se_shape="file")
 
     def test_single_row_solid_case(self, tmp_path):
         src = tmp_path / "x.rle"
         src.write_text(write_rle_text(img(*[(0, 4, y) for y in range(5)])))
-        config = BenchConfig(image_source=str(src), se_shape="square",
-                             se_sizes=(3,), algorithms=("fast-erode",))
+        config = BenchConfig(image_source=str(src), elements=("square:3",),
+                             algorithms=("fast-erode",))
         rows = run_bench(config)
         assert len(rows) == 1
         row = rows[0]
@@ -319,7 +315,7 @@ class TestBench:
             calls.append(len(calls))
             return float(len(calls))
 
-        config = BenchConfig(image_source=str(src), se_sizes=(3,),
+        config = BenchConfig(image_source=str(src), elements=("square:3",),
                              algorithms=("fast-erode",), iterations=3)
         run_bench(config, clock=clock)
         # warm-up is untimed: 2 clock reads per timed call, 3 timed calls
@@ -332,33 +328,35 @@ class TestBench:
                                                        offset_range=0)))
         config = BenchConfig(
             image_source=str(src),
-            se_sizes=(3, 5),
+            elements=("square:3", "square:5"),
             algorithms=("fast-erode", "naive-erode", "runs-erode",
                         "fast-dilate", "naive-dilate"),
         )
         rows = run_bench(config)
         assert all(r["status"] == "ok" for r in rows)
-        for size in (3, 5):
+        for spec in config.elements:
             ero = {(r["runs_out"], r["pixels_out"]) for r in rows
-                   if r["op"] == "erode" and r["se_size"] == size}
+                   if r["op"] == "erode" and r["se"] == spec}
             dil = {(r["runs_out"], r["pixels_out"]) for r in rows
-                   if r["op"] == "dilate" and r["se_size"] == size}
+                   if r["op"] == "dilate" and r["se"] == spec}
             assert len(ero) == 1 and len(dil) == 1
 
     def test_failing_case_recorded(self, tmp_path):
+        # A pixel within the element's width of 2**61: its dilation's
+        # complement rectangle leaves the bound, so the operator refuses.
         src = tmp_path / "x.rle"
-        src.write_text("0 0 9\n")
-        config = BenchConfig(image_source=str(src), se_sizes=(4,),
-                             algorithms=("fast-erode",))
+        src.write_text(f"0 {2**61 - 3} {2**61 - 3}\n")
+        config = BenchConfig(image_source=str(src), elements=("square:5",),
+                             algorithms=("fast-dilate",))
         rows = run_bench(config)
         assert len(rows) == 1
         assert rows[0]["status"].startswith("error:")
+        assert "2**61" in rows[0]["status"]
 
     def test_csv_schema(self, tmp_path):
         src = tmp_path / "x.rle"
         src.write_text("0 0 9\n")
-        config = BenchConfig(image_source=str(src), se_sizes=(3,),
-                             algorithms=("fast-erode", "naive-erode"))
+        config = BenchConfig(image_source=str(src), algorithms=("fast-erode", "naive-erode"))
         text = rows_to_csv(run_bench(config))
         reader = csv.DictReader(io.StringIO(text))
         assert reader.fieldnames == CSV_FIELDS
@@ -388,25 +386,20 @@ class TestBench:
         assert "density" in capsys.readouterr().err
 
     def test_diamond_sweep(self):
-        config = BenchConfig(image_source="blobs:32x24:seed=4", se_shape="diamond",
-                             se_sizes=(3, 5), algorithms=("fast-erode", "naive-erode"),
-                             iterations=1)
+        config = BenchConfig(image_source="blobs:32x24:seed=4",
+                             elements=("diamond:3", "diamond:5"),
+                             algorithms=("fast-erode", "naive-erode"), iterations=1)
         rows = run_bench(config)
-        assert [r["se_size"] for r in rows] == [3, 3, 5, 5]
-        assert all(r["se_shape"] == "diamond" and r["status"] == "ok" for r in rows)
-        for size in (3, 5):
-            assert len({r["pixels_out"] for r in rows if r["se_size"] == size}) == 1
-
-    def test_cli_bench_bad_sizes(self, tmp_path, capsys):
-        code = main(["bench", "--image", "random:8x8:seed=1", "--se-sizes", "3,x",
-                     "--csv", str(tmp_path / "b.csv")])
-        assert code == 1
-        assert "bad --se-sizes" in capsys.readouterr().err
+        assert [r["se"] for r in rows] == ["diamond:3", "diamond:3", "diamond:5", "diamond:5"]
+        assert all(r["status"] == "ok" for r in rows)
+        for spec in config.elements:
+            assert len({r["pixels_out"] for r in rows if r["se"] == spec}) == 1
 
     def test_cli_bench(self, tmp_path):
         out = tmp_path / "bench.csv"
         code = main(["bench", "--image", "random:16x16:density=0.4:seed=1",
-                     "--se-sizes", "3,5", "--algos", "fast-erode,fast-dilate",
+                     "--se", "square:3", "--se", "square:5",
+                     "--algos", "fast-erode,fast-dilate",
                      "--iterations", "2", "--csv", str(out)])
         assert code == 0
         rows = list(csv.DictReader(io.StringIO(out.read_text())))
@@ -423,40 +416,45 @@ class TestBench:
     def test_cli_bench_prints_one_table_line_per_row(self, tmp_path, capsys):
         out = tmp_path / "bench.csv"
         code = main(["bench", "--image", "random:16x16:density=0.4:seed=1",
-                     "--se-sizes", "3,5,7", "--algos", "fast-erode,naive-erode",
+                     "--se", "square:3", "--se", "square:5", "--se", "square:7",
+                     "--algos", "fast-erode,naive-erode",
                      "--iterations", "1", "--csv", str(out)])
         assert code == 0
         rows = list(csv.DictReader(io.StringIO(out.read_text())))
         header, *lines = capsys.readouterr().out.splitlines()
-        assert header.split() == ["algorithm", "op", "size", "mean_ms", "runs",
+        assert header.split() == ["algorithm", "op", "se", "mean_ms", "runs",
                                   "pixels", "status"]
         assert len(lines) == len(rows) == 6
         for line, row in zip(lines, rows):
             fields = line.split()
-            assert fields[:3] == [row["algorithm"], row["op"], row["se_size"]]
+            assert fields[:3] == [row["algorithm"], row["op"], row["se"]]
             assert fields[4:] == [row["runs_out"], row["pixels_out"], row["status"]]
 
     def test_cli_bench_se_file(self, tmp_path):
+        # One run times a square, an element file and a diamond, in that order.
         se = tmp_path / "se.rle"
         se.write_text("0 -1 1\n1 0 0\n")
+        elements = ["square:3", str(se), "diamond:5"]
         out = tmp_path / "bench.csv"
         code = main(["bench", "--image", "random:24x24:density=0.6:seed=2",
-                     "--se-shape", "file", "--se-path", str(se), "--se-sizes", "3",
+                     *(arg for spec in elements for arg in ("--se", spec)),
                      "--algos", "fast-erode,naive-erode,fast-dilate,naive-dilate",
                      "--iterations", "1", "--csv", str(out)])
         assert code == 0
         rows = list(csv.DictReader(io.StringIO(out.read_text())))
-        assert len(rows) == 4 and all(r["status"] == "ok" for r in rows)
-        for op in ("erode", "dilate"):
-            assert len({(r["runs_out"], r["pixels_out"]) for r in rows
-                        if r["op"] == op}) == 1
+        assert [r["se"] for r in rows] == [spec for spec in elements for _ in range(4)]
+        assert all(r["status"] == "ok" for r in rows)
+        for spec in elements:
+            for op in ("erode", "dilate"):
+                assert len({(r["runs_out"], r["pixels_out"]) for r in rows
+                            if r["se"] == spec and r["op"] == op}) == 1
 
     def test_cli_bench_empty_se_file(self, tmp_path):
         se = tmp_path / "se.rle"
         se.write_text("")
         out = tmp_path / "bench.csv"
-        code = main(["bench", "--image", "random:8x8:seed=1", "--se-shape", "file",
-                     "--se-path", str(se), "--algos", "fast-erode,naive-dilate",
+        code = main(["bench", "--image", "random:8x8:seed=1", "--se", str(se),
+                     "--algos", "fast-erode,naive-dilate",
                      "--csv", str(out)])
         assert code == 0
         rows = list(csv.DictReader(io.StringIO(out.read_text())))
@@ -466,17 +464,6 @@ class TestBench:
         ]
         assert all(r["mean_ms"] == r["runs_out"] == r["pixels_out"] == "" for r in rows)
 
-    def test_cli_bench_se_file_takes_one_size(self, tmp_path, capsys):
-        se = tmp_path / "se.rle"
-        se.write_text("0 -1 1\n1 0 0\n")
-        out = tmp_path / "bench.csv"
-        code = main(["bench", "--image", "random:24x24:density=0.6:seed=2",
-                     "--se-shape", "file", "--se-path", str(se), "--se-sizes", "3,5,7",
-                     "--csv", str(out)])
-        assert code == 1
-        assert "single se_sizes entry" in capsys.readouterr().err
-        assert not out.exists()
-
     def test_cli_bench_undecodable_image_exit_code(self, tmp_path, capsys):
         x = tmp_path / "x.rle"
         x.write_bytes(b"0 0 0\n\xff\xfe 1 2\n")
@@ -485,11 +472,19 @@ class TestBench:
         assert "(line 2)" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_cli_bench_empty_sizes(self, tmp_path):
-        code = main(["bench", "--image", "random:8x8:seed=1", "--se-sizes", "",
-                     "--csv", str(tmp_path / "b.csv")])
-        assert code == 1
-        assert not (tmp_path / "b.csv").exists()
+    @pytest.mark.parametrize("spec, code", [
+        ("square:4", 1), ("missing.rle", 2), ("bad.rle", 2),
+    ], ids=["even-size", "missing", "unparsable"])
+    def test_cli_bench_element_error_exits_as_erode(self, tmp_path, monkeypatch, spec, code):
+        # An element that cannot be read stops the run before any timing,
+        # with the exit code erode gives it, and no CSV is written.
+        monkeypatch.chdir(tmp_path)
+        Path("x.rle").write_text("0 0 9\n")
+        Path("bad.rle").write_text("0 0\n")
+        assert main(["erode", "x.rle", spec, "-o", "out.rle"]) == code
+        assert main(["bench", "--image", "x.rle", "--se", "square:3", "--se", spec,
+                     "--csv", "b.csv"]) == code
+        assert not Path("b.csv").exists()
 
     def test_cli_bench_empty_algos(self, tmp_path, capsys):
         code = main(["bench", "--image", "random:8x8:seed=1", "--algos", " , ",

@@ -88,6 +88,29 @@ class TestRleImage:
         with pytest.raises(ValueError, match=r"coordinate beyond \+-2\*\*61"):
             RleImage(runs)
 
+    @pytest.mark.parametrize("build", [RleImage, normalize])
+    @pytest.mark.parametrize("runs", [
+        [(0.5, 1.5, 0)], [(0, 2, 1.0)], [("1", "2", "0")], [(0, True, 0)],
+        np.array([[0.7, 3.9, 1.2]]), np.array([[True, True, False]]),
+        [(0, 2**70, 0.5)],
+    ], ids=["float", "float-y", "str", "bool", "float-array", "bool-array",
+            "float-and-past-int64"])
+    def test_non_integer_coordinates_rejected(self, runs, build):
+        with pytest.raises(ValueError, match=r"run Run\(.*\) has a non-integer coordinate"):
+            build(runs)
+
+    @pytest.mark.parametrize("v", [
+        Point(0.5, 0), Point(0, 1.0), Point(True, 0), Point(2**63, 0), Point(0, -2**63 - 1),
+    ], ids=["float", "float-y", "bool", "past-int64", "below-int64"])
+    def test_translate_offset_must_be_int64(self, v):
+        with pytest.raises(ValueError, match="offset"):
+            translate(img((0, 4, 0)), v)
+
+    def test_integer_arrays_accepted(self):
+        for dtype in (np.int32, np.int64, np.uint8):
+            assert RleImage(np.array([[0, 4, 0]], dtype=dtype)) == img((0, 4, 0))
+        assert translate(img((0, 4, 0)), (np.int32(2), np.int64(-1))) == img((2, 6, -1))
+
     def test_coordinate_bound(self):
         edge = 2**61
         a = img((-edge, edge, -edge), (0, 0, edge))
