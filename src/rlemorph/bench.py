@@ -1,10 +1,12 @@
 """Benchmark sweep over structuring elements and algorithm variants.
 
-The image and every element are loaded once, before any timing; only the
-operator call is timed.  One warm-up call per case is discarded, then
-the mean over the configured number of iterations is reported.  Failing
-cases get a status note instead of aborting the sweep.  The rows are
-written as CSV (``rows_to_csv``) or as an aligned table (``rows_to_table``).
+``run_bench`` takes ``rlemorph bench``'s option values as they are (the CLI
+states the defaults) and refuses bad ones before anything is read.  The
+image and every element are loaded once, before any timing; only the
+operator call is timed.  One warm-up call per case is discarded, then the
+mean over the given number of iterations is reported.  Failing cases get a
+status note instead of aborting the sweep.  The rows are written as CSV
+(``rows_to_csv``) or as an aligned table (``rows_to_table``).
 """
 from __future__ import annotations
 
@@ -12,9 +14,8 @@ import csv
 import io
 import re
 import time
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Sequence
 
 from . import generate, morphology, oracle
 from .imgio import ImageFileMeta, read_image
@@ -29,31 +30,6 @@ _OPERATORS: dict[str, Callable[[RleImage, RleImage], RleImage]] = {
     "naive-dilate": oracle.dilate_naive,
     "runs-erode": oracle.erode_runs,
 }
-ALGORITHMS = tuple(_OPERATORS)
-
-
-class BenchConfigError(ValueError):
-    pass
-
-
-@dataclass
-class BenchConfig:
-    image_source: str
-    elements: tuple[str, ...] = ("square:3",)
-    algorithms: tuple[str, ...] = ("fast-erode",)
-    iterations: int = 3
-
-    def __post_init__(self) -> None:
-        if not self.elements:
-            raise BenchConfigError("elements must not be empty")
-        if not self.algorithms:
-            raise BenchConfigError("algorithms must not be empty")
-        if self.iterations < 1:
-            raise BenchConfigError("iterations must be >= 1")
-        for algo in self.algorithms:
-            if algo not in ALGORITHMS:
-                raise BenchConfigError(f"unknown algorithm {algo!r}")
-
 
 _SYNTH_RE = re.compile(
     r"^(random|blobs):(\d+)x(\d+)(?::density=([0-9.]+))?(?::seed=(\d+))?$"
@@ -98,24 +74,33 @@ def load_image_source(source: str) -> tuple[RleImage, ImageFileMeta | None]:
     return read_image(Path(source).read_bytes())
 
 
-def run_bench(
-    config: BenchConfig, clock: Callable[[], float] = time.perf_counter
-) -> list[dict]:
-    """One row per element and algorithm, element-major.  The image and the
-    elements are read before any timing; an operator's refusal is a row status."""
-    image, _ = load_image_source(config.image_source)
-    elements = [(spec, load_image_source(spec)[0]) for spec in config.elements]
+def run_bench(image_source: str, elements: Sequence[str], algorithms: Sequence[str],
+              iterations: int, clock: Callable[[], float] = time.perf_counter) -> list[dict]:
+    """One row per element and algorithm, element-major.  The arguments are
+    checked (ValueError) before anything is read, the image and the elements
+    are read before any timing, and an operator's refusal is a row status."""
+    if not elements:
+        raise ValueError("elements must not be empty")
+    if not algorithms:
+        raise ValueError("algorithms must not be empty")
+    if iterations < 1:
+        raise ValueError("iterations must be >= 1")
+    for algo in algorithms:
+        if algo not in _OPERATORS:
+            raise ValueError(f"unknown algorithm {algo!r}")
+    image, _ = load_image_source(image_source)
+    loaded = [(spec, load_image_source(spec)[0]) for spec in elements]
     rows: list[dict] = []
-    for spec, se in elements:
-        for algo in config.algorithms:
+    for spec, se in loaded:
+        for algo in algorithms:
+            fn = _OPERATORS[algo]
             kind, op = algo.split("-")
             row = dict.fromkeys(CSV_FIELDS, "")
             row.update(algorithm=kind, op=op, se=spec)
             try:
-                fn = _OPERATORS[algo]
                 fn(image, se)  # warm-up, not timed
                 elapsed = []
-                for _ in range(config.iterations):
+                for _ in range(iterations):
                     t0 = clock()
                     result = fn(image, se)
                     t1 = clock()

@@ -12,7 +12,7 @@ from pathlib import Path
 import click
 
 from . import morphology
-from .bench import BenchConfig, load_image_source, rows_to_csv, rows_to_table, run_bench
+from .bench import _OPERATORS, load_image_source, rows_to_csv, rows_to_table, run_bench
 from .imgio import (
     ImageFileMeta,
     PbmParseError,
@@ -88,20 +88,15 @@ _operator_command("dilate")
               help="input path or synthetic spec like blobs:1024x1024:seed=1 or gap:1000000")
 @click.option("--se", "elements", multiple=True, default=["square:3"], show_default=True,
               help="element path or spec like diamond:11; repeat to sweep elements")
-@click.option("--algos", default="fast-erode", help="comma-separated algorithm list")
-@click.option("--iterations", type=int, default=3)
+@click.option("--algo", "algorithms", multiple=True, default=["fast-erode"], show_default=True,
+              help=f"one of {', '.join(_OPERATORS)}; repeat to compare algorithms")
+@click.option("--iterations", type=int, default=3, show_default=True)
 @click.option("--csv", "csv_path", required=True, help="output CSV path")
-def cmd_bench(image_source: str, elements: tuple[str, ...], algos: str, iterations: int,
-              csv_path: str) -> None:
+def cmd_bench(image_source: str, elements: tuple[str, ...], algorithms: tuple[str, ...],
+              iterations: int, csv_path: str) -> None:
     """Time operator calls over a structuring-element sweep; write the rows
     to the CSV file and print them as a table."""
-    config = BenchConfig(
-        image_source=image_source,
-        elements=elements,
-        algorithms=tuple(a.strip() for a in algos.split(",") if a.strip()),
-        iterations=iterations,
-    )
-    rows = run_bench(config)
+    rows = run_bench(image_source, elements, algorithms, iterations)
     Path(csv_path).write_text(rows_to_csv(rows))
     click.echo(f"wrote {len(rows)} rows to {csv_path}", err=True)
     click.echo(rows_to_table(rows), nl=False)
@@ -127,7 +122,7 @@ def main(argv: list[str] | None = None) -> int:
         click.echo(f"error: {exc}", err=True)
         return 3
     except (click.UsageError, ValueError) as exc:
-        # ValueError covers BenchConfigError and generator parameter checks
+        # ValueError covers run_bench's argument checks and bad image specs
         click.echo(f"error: {exc}", err=True)
         return 1
     return 0

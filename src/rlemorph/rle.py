@@ -50,6 +50,8 @@ class Rect:
     b: int
 
     def __post_init__(self) -> None:
+        if not all(_integer_type(type(c)) for c in (self.l, self.r, self.t, self.b)):
+            raise ValueError(f"rectangle {self} has a non-integer bound")
         if self.l > self.r or self.t > self.b:
             raise ValueError(f"degenerate rectangle {self}")
 
@@ -70,12 +72,25 @@ class Rect:
 
 
 # Coordinates lie within +-COORD_LIMIT: every sum the library forms then fits
-# int64, and a translation that wraps around lands outside and is rejected.
+# int64, as does a coordinate plus an offset within +-2**62 (_offset).
 COORD_LIMIT = 2**61
 
 
 def _integer_type(t: type) -> bool:
     return issubclass(t, numbers.Integral) and t is not bool
+
+
+def _offset(v: Point, has_runs: bool) -> tuple[int, int]:
+    """v as two ints; ValueError unless they are integers and, if the image
+    moved has runs, within +-2**62: beyond it every pixel would leave
+    +-COORD_LIMIT, and within it no int64 sum wraps."""
+    vx, vy = v
+    if not (_integer_type(type(vx)) and _integer_type(type(vy))):
+        raise ValueError(f"offset {v!r} is not a pair of integers")
+    vx, vy = int(vx), int(vy)
+    if has_runs and max(abs(vx), abs(vy)) > 2 * COORD_LIMIT:
+        raise ValueError(f"offset {v!r} is beyond +-2**62")
+    return vx, vy
 
 
 def _as_runs(runs) -> np.ndarray:
@@ -230,19 +245,18 @@ def from_raster(grid, origin: Point = Point(0, 0)) -> RleImage:
     """Convert a 2D boolean array (indexed [row][col]) to a compact image.
 
     grid[j][i] is foreground iff point (origin.x + i, origin.y + j) is in
-    the image.  Any nonzero value counts as foreground.
+    the image.  Any nonzero value counts as foreground.  origin must be a
+    pair of integers, within +-2**62 unless the grid is all background.
     """
     g = np.asarray(grid)
     if g.ndim != 2:
         raise ValueError(f"grid must be 2-D, got shape {g.shape}")
-    if g.size == 0:
-        return EMPTY
     # Each row padded by a background cell on both sides, read as one flat
     # sequence: the changes pair up as (run start, run end), in run order.
     # Assigning into the padded rows casts to bool without another copy.
     h, w = g.shape
     rows = max(1, _RASTER_BLOCK_CELLS // (w + 2))
-    edges = []
+    edges = [np.empty(0, dtype=np.intp)]
     for top in range(0, h, rows):
         block = g[top : top + rows]
         padded = np.zeros((len(block), w + 2), dtype=bool)
@@ -253,10 +267,13 @@ def from_raster(grid, origin: Point = Point(0, 0)) -> RleImage:
     # column i mod (w + 2); the end edge lies on its last cell, so the run is
     # end - start cells long.
     edge = np.concatenate(edges)
+    ox, oy = _offset(origin, edge.size > 0)
+    if not edge.size:
+        return EMPTY
     start, end = edge[0::2], edge[1::2]
     y = start // (w + 2)
-    lx = start - y * (w + 2) + origin.x
-    return RleImage._built(np.column_stack((lx, lx + (end - start - 1), y + origin.y)))
+    lx = start - y * (w + 2) + ox
+    return RleImage._built(np.column_stack((lx, lx + (end - start - 1), y + oy)))
 
 
 def _paint(img: RleImage, rect: Rect) -> np.ndarray:
@@ -282,10 +299,11 @@ def to_raster(img: RleImage) -> tuple[np.ndarray, Point]:
 
 
 def translate(img: RleImage, v: Point) -> RleImage:
-    """{p + v : p in img}; v must be a pair of int64 integers."""
-    vx, vy = v
-    if not all(_integer_type(type(c)) and -2**63 <= int(c) < 2**63 for c in (vx, vy)):
-        raise ValueError(f"offset {v!r} is not a pair of int64 integers")
+    """{p + v : p in img}; v must be a pair of integers, within +-2**62
+    unless img is empty."""
+    vx, vy = _offset(v, not img.is_empty)
+    if img.is_empty:
+        return img
     return RleImage._built(img.array + np.array((vx, vx, vy), dtype=np.int64))
 
 

@@ -26,7 +26,7 @@ import time
 
 import pytest
 
-from rlemorph.bench import BenchConfig, CSV_FIELDS, rows_to_csv, run_bench
+from rlemorph.bench import CSV_FIELDS, rows_to_csv, run_bench
 from rlemorph.cli import main
 from rlemorph.generate import blob_image, square_se
 from rlemorph.imgio import (
@@ -291,13 +291,13 @@ def test_criterion_7_cli_end_to_end(tmp_path):
         calls.append(None)
         return float(len(calls))
 
-    config = BenchConfig(
+    rows = run_bench(
         image_source=str(x),
         elements=("square:3", "square:5"),
         algorithms=("fast-erode", "fast-dilate"),
         iterations=3,
+        clock=clock,
     )
-    rows = run_bench(config, clock=clock)
     assert len(calls) == 2 * 3 * len(rows)  # 2 reads per timed call, 3 per row
     text = rows_to_csv(rows)
     reader = csv.DictReader(io.StringIO(text))

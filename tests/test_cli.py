@@ -10,14 +10,7 @@ import numpy as np
 import pytest
 
 from rlemorph import morphology
-from rlemorph.bench import (
-    BenchConfig,
-    BenchConfigError,
-    CSV_FIELDS,
-    load_image_source,
-    rows_to_csv,
-    run_bench,
-)
+from rlemorph.bench import CSV_FIELDS, load_image_source, rows_to_csv, run_bench
 from rlemorph.cli import main
 from rlemorph.generate import blob_image, diamond_se, random_image, square_se
 from rlemorph.imgio import ImageFileMeta, read_rle_text, write_rle_text
@@ -284,22 +277,27 @@ class TestCliConvert:
 
 
 class TestBench:
-    def test_config_validation(self):
-        with pytest.raises(BenchConfigError, match="elements"):
-            BenchConfig(image_source="x", elements=())
-        with pytest.raises(BenchConfigError, match="algorithms"):
-            BenchConfig(image_source="x", algorithms=())
-        with pytest.raises(BenchConfigError):
-            BenchConfig(image_source="x", iterations=0)
-        with pytest.raises(BenchConfigError):
-            BenchConfig(image_source="x", algorithms=("warp-erode",))
+    def test_run_bench_argument_validation(self):
+        # Refused before anything is read (the missing image would raise
+        # OSError) and before any timing (the clock raises if it is read).
+        def clock():
+            raise AssertionError("clock read")
+
+        for elements, algorithms, iterations, message in [
+            ((), ("fast-erode",), 3, "elements must not be empty"),
+            (("square:3",), (), 3, "algorithms must not be empty"),
+            (("square:3",), ("fast-erode",), 0, "iterations must be >= 1"),
+            (("square:3",), ("fast-erode", "warp-erode"), 3, "unknown algorithm 'warp-erode'"),
+        ]:
+            for image in ("missing.rle", "random:8x8:seed=1"):
+                with pytest.raises(ValueError, match=re.escape(message)):
+                    run_bench(image, elements, algorithms, iterations, clock=clock)
 
     def test_single_row_solid_case(self, tmp_path):
         src = tmp_path / "x.rle"
         src.write_text(write_rle_text(img(*[(0, 4, y) for y in range(5)])))
-        config = BenchConfig(image_source=str(src), elements=("square:3",),
-                             algorithms=("fast-erode",))
-        rows = run_bench(config)
+        rows = run_bench(image_source=str(src), elements=("square:3",),
+                         algorithms=("fast-erode",), iterations=3)
         assert len(rows) == 1
         row = rows[0]
         assert row["runs_out"] == 3 and row["pixels_out"] == 9
@@ -315,9 +313,8 @@ class TestBench:
             calls.append(len(calls))
             return float(len(calls))
 
-        config = BenchConfig(image_source=str(src), elements=("square:3",),
-                             algorithms=("fast-erode",), iterations=3)
-        run_bench(config, clock=clock)
+        run_bench(image_source=str(src), elements=("square:3",),
+                  algorithms=("fast-erode",), iterations=3, clock=clock)
         # warm-up is untimed: 2 clock reads per timed call, 3 timed calls
         assert len(calls) == 6
 
@@ -326,15 +323,16 @@ class TestBench:
         rng = random.Random(51)
         src.write_text(write_rle_text(random_rle_image(rng, 24, 24,
                                                        offset_range=0)))
-        config = BenchConfig(
+        elements = ("square:3", "square:5")
+        rows = run_bench(
             image_source=str(src),
-            elements=("square:3", "square:5"),
+            elements=elements,
             algorithms=("fast-erode", "naive-erode", "runs-erode",
                         "fast-dilate", "naive-dilate"),
+            iterations=3,
         )
-        rows = run_bench(config)
         assert all(r["status"] == "ok" for r in rows)
-        for spec in config.elements:
+        for spec in elements:
             ero = {(r["runs_out"], r["pixels_out"]) for r in rows
                    if r["op"] == "erode" and r["se"] == spec}
             dil = {(r["runs_out"], r["pixels_out"]) for r in rows
@@ -346,9 +344,8 @@ class TestBench:
         # complement rectangle leaves the bound, so the operator refuses.
         src = tmp_path / "x.rle"
         src.write_text(f"0 {2**61 - 3} {2**61 - 3}\n")
-        config = BenchConfig(image_source=str(src), elements=("square:5",),
-                             algorithms=("fast-dilate",))
-        rows = run_bench(config)
+        rows = run_bench(image_source=str(src), elements=("square:5",),
+                         algorithms=("fast-dilate",), iterations=3)
         assert len(rows) == 1
         assert rows[0]["status"].startswith("error:")
         assert "2**61" in rows[0]["status"]
@@ -356,8 +353,8 @@ class TestBench:
     def test_csv_schema(self, tmp_path):
         src = tmp_path / "x.rle"
         src.write_text("0 0 9\n")
-        config = BenchConfig(image_source=str(src), algorithms=("fast-erode", "naive-erode"))
-        text = rows_to_csv(run_bench(config))
+        text = rows_to_csv(run_bench(image_source=str(src), elements=("square:3",),
+                                     algorithms=("fast-erode", "naive-erode"), iterations=3))
         reader = csv.DictReader(io.StringIO(text))
         assert reader.fieldnames == CSV_FIELDS
         assert len(list(reader)) == 2
@@ -386,20 +383,19 @@ class TestBench:
         assert "density" in capsys.readouterr().err
 
     def test_diamond_sweep(self):
-        config = BenchConfig(image_source="blobs:32x24:seed=4",
-                             elements=("diamond:3", "diamond:5"),
-                             algorithms=("fast-erode", "naive-erode"), iterations=1)
-        rows = run_bench(config)
+        elements = ("diamond:3", "diamond:5")
+        rows = run_bench(image_source="blobs:32x24:seed=4", elements=elements,
+                         algorithms=("fast-erode", "naive-erode"), iterations=1)
         assert [r["se"] for r in rows] == ["diamond:3", "diamond:3", "diamond:5", "diamond:5"]
         assert all(r["status"] == "ok" for r in rows)
-        for spec in config.elements:
+        for spec in elements:
             assert len({r["pixels_out"] for r in rows if r["se"] == spec}) == 1
 
     def test_cli_bench(self, tmp_path):
         out = tmp_path / "bench.csv"
         code = main(["bench", "--image", "random:16x16:density=0.4:seed=1",
                      "--se", "square:3", "--se", "square:5",
-                     "--algos", "fast-erode,fast-dilate",
+                     "--algo", "fast-erode", "--algo", "fast-dilate",
                      "--iterations", "2", "--csv", str(out)])
         assert code == 0
         rows = list(csv.DictReader(io.StringIO(out.read_text())))
@@ -417,7 +413,7 @@ class TestBench:
         out = tmp_path / "bench.csv"
         code = main(["bench", "--image", "random:16x16:density=0.4:seed=1",
                      "--se", "square:3", "--se", "square:5", "--se", "square:7",
-                     "--algos", "fast-erode,naive-erode",
+                     "--algo", "fast-erode", "--algo", "naive-erode",
                      "--iterations", "1", "--csv", str(out)])
         assert code == 0
         rows = list(csv.DictReader(io.StringIO(out.read_text())))
@@ -438,7 +434,8 @@ class TestBench:
         out = tmp_path / "bench.csv"
         code = main(["bench", "--image", "random:24x24:density=0.6:seed=2",
                      *(arg for spec in elements for arg in ("--se", spec)),
-                     "--algos", "fast-erode,naive-erode,fast-dilate,naive-dilate",
+                     *(arg for algo in ("fast-erode", "naive-erode", "fast-dilate",
+                                        "naive-dilate") for arg in ("--algo", algo)),
                      "--iterations", "1", "--csv", str(out)])
         assert code == 0
         rows = list(csv.DictReader(io.StringIO(out.read_text())))
@@ -454,7 +451,7 @@ class TestBench:
         se.write_text("")
         out = tmp_path / "bench.csv"
         code = main(["bench", "--image", "random:8x8:seed=1", "--se", str(se),
-                     "--algos", "fast-erode,naive-dilate",
+                     "--algo", "fast-erode", "--algo", "naive-dilate",
                      "--csv", str(out)])
         assert code == 0
         rows = list(csv.DictReader(io.StringIO(out.read_text())))
@@ -486,12 +483,39 @@ class TestBench:
                      "--csv", "b.csv"]) == code
         assert not Path("b.csv").exists()
 
-    def test_cli_bench_empty_algos(self, tmp_path, capsys):
-        code = main(["bench", "--image", "random:8x8:seed=1", "--algos", " , ",
-                     "--csv", str(tmp_path / "b.csv")])
-        assert code == 1
-        assert "algorithms must not be empty" in capsys.readouterr().err
-        assert not (tmp_path / "b.csv").exists()
+    def test_cli_bench_algorithm_order(self, tmp_path):
+        out = tmp_path / "b.csv"
+        assert main(["bench", "--image", "random:8x8:seed=1", "--se", "square:3",
+                     "--se", "diamond:3", "--algo", "naive-dilate", "--algo", "fast-erode",
+                     "--iterations", "1", "--csv", str(out)]) == 0
+        rows = list(csv.DictReader(io.StringIO(out.read_text())))
+        assert [(r["se"], r["algorithm"], r["op"]) for r in rows] == [
+            ("square:3", "naive", "dilate"), ("square:3", "fast", "erode"),
+            ("diamond:3", "naive", "dilate"), ("diamond:3", "fast", "erode"),
+        ]
+
+    @pytest.mark.parametrize("args, message", [
+        (["--algo", "warp-erode"], "unknown algorithm 'warp-erode'"),
+        (["--algo", "fast-erode,naive-erode"], "unknown algorithm 'fast-erode,naive-erode'"),
+        (["--algo", " fast-erode"], "unknown algorithm ' fast-erode'"),
+        (["--iterations", "0"], "iterations must be >= 1"),
+    ], ids=["unknown", "comma-list", "padded", "no-iterations"])
+    def test_cli_bench_bad_argument_exit_code(self, tmp_path, capsys, args, message):
+        out = tmp_path / "b.csv"
+        assert main(["bench", "--image", "random:8x8:seed=1", *args,
+                     "--csv", str(out)]) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_cli_bench_arguments_checked_before_reading(self, tmp_path, capsys):
+        # A bad algorithm is a usage error (1) even when the image is missing (2).
+        out = tmp_path / "b.csv"
+        assert main(["bench", "--image", str(tmp_path / "missing.rle"),
+                     "--algo", "warp-erode", "--csv", str(out)]) == 1
+        assert "unknown algorithm" in capsys.readouterr().err
+        assert main(["bench", "--image", str(tmp_path / "missing.rle"),
+                     "--csv", str(out)]) == 2
+        assert not out.exists()
 
 
 class TestScripts:

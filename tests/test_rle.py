@@ -106,17 +106,57 @@ class TestRleImage:
         with pytest.raises(ValueError, match="offset"):
             translate(img((0, 4, 0)), v)
 
+    @pytest.mark.parametrize("move, match", [
+        (lambda: from_raster([[1, 1, 0]], Point(0.5, 1.5)), "offset .* not a pair of integers"),
+        (lambda: from_raster([[1]], Point(True, 0)), "offset .* not a pair of integers"),
+        (lambda: from_raster([[1]], Point(0, "2")), "offset .* not a pair of integers"),
+        (lambda: from_raster([[0]], Point(0.5, 0)), "offset .* not a pair of integers"),
+        (lambda: translate(EMPTY, Point(0, 1.0)), "offset .* not a pair of integers"),
+        (lambda: from_raster([[1]], Point(2**63, 0)), r"offset .* beyond \+-2\*\*62"),
+        (lambda: from_raster([[1]], Point(0, -2**62 - 1)), r"offset .* beyond \+-2\*\*62"),
+        (lambda: translate(RleImage([(5, 5, 0)]), Point(2**63 - 1, 0)),
+         r"offset .* beyond \+-2\*\*62"),
+        (lambda: translate(img((0, 4, 0)), Point(0, 2**62 + 1)), r"offset .* beyond \+-2\*\*62"),
+    ], ids=["raster-float", "raster-bool", "raster-str", "raster-background-float",
+            "empty-float", "raster-past-int64", "raster-below", "wrapping-sum", "just-beyond"])
+    def test_offset_checked(self, move, match):
+        # One check serves translate and from_raster: the offset is named,
+        # not a run its wrapped or truncated sum would give.
+        with pytest.raises(ValueError, match=match):
+            move()
+
+    def test_offsets_within_bound_accepted(self):
+        edge = 2**61
+        assert translate(img((-edge, -edge, 0)), Point(2 * edge, 0)) == img((edge, edge, 0))
+        assert translate(img((0, 0, edge)), Point(0, -2 * edge)) == img((0, 0, -edge))
+        assert translate(EMPTY, Point(2**63 - 1, 0)) == EMPTY
+        assert translate(EMPTY, Point(2**70, -2**70)) == EMPTY
+        assert from_raster(np.zeros((2, 3)), Point(2**70, 0)) == EMPTY
+        assert from_raster([[1, 1, 0]], Point(np.int64(-edge), np.uint64(edge))) == img(
+            (-edge, 1 - edge, edge))
+        assert from_raster([[1]], Point(np.int32(-3), np.uint8(2))) == img((-3, -3, 2))
+        assert from_raster(np.zeros((0, 3)), Point(-4, 9)) == EMPTY
+
+    @pytest.mark.parametrize("bounds", [
+        (0.5, 5.7, 0, 0), (0, 5, 0.0, 0), (False, 5, 0, 0), (0, "5", 0, 0),
+    ], ids=["float", "float-t", "bool", "str"])
+    def test_rect_bounds_must_be_integers(self, bounds):
+        with pytest.raises(ValueError, match="non-integer bound"):
+            complement_within(RleImage([(2, 3, 0)]), Rect(*bounds))
+
     def test_integer_arrays_accepted(self):
         for dtype in (np.int32, np.int64, np.uint8):
             assert RleImage(np.array([[0, 4, 0]], dtype=dtype)) == img((0, 4, 0))
         assert translate(img((0, 4, 0)), (np.int32(2), np.int64(-1))) == img((2, 6, -1))
+        rect = Rect(np.int64(0), np.int32(5), np.uint8(0), 0)
+        assert complement_within(img((2, 3, 0)), rect) == img((0, 1, 0), (4, 5, 0))
 
     def test_coordinate_bound(self):
         edge = 2**61
         a = img((-edge, edge, -edge), (0, 0, edge))
         assert a.pixel_count() == 2**62 + 2
         with pytest.raises(ValueError, match="beyond"):
-            translate(a, Point(2**62, 0))  # wraps past int64, lands below -2**61
+            translate(a, Point(2**62, 0))  # moves x = 2**61 to 3 * 2**61
 
     def test_read_only(self):
         source = np.array([[0, 3, 0]])
