@@ -5,8 +5,9 @@ Erodes an image by a structuring element while collecting the
 instrumentation trace, then prints the backend of the scan, the
 size of the run-indexed distance tables, how many candidate positions were
 actually probed versus the total pixel count, the lockstep rounds of the
-scan, and the jump/hit events.  IMAGE and SE are file paths or specs as
-the rlemorph command line takes them.
+scan, the x_cut runs the vertical trim dropped, and the jump/hit events.
+IMAGE and SE are file paths or specs as the rlemorph command line takes
+them.
 
 Usage:
     python3 scripts/trace_demo.py [IMAGE [SE]]
@@ -52,6 +53,8 @@ def main(argv=None) -> int:
           f"({trace.candidates / max(total, 1):.0%} of input pixels)")
     print(f"skeleton probes     : {trace.probes:>6}")
     print(f"lockstep rounds     : {trace.rounds:>6}")
+    print(f"trimmed x_cut runs  : {trace.trimmed:>6} "
+          f"(a row of the element's band holds no kept run)")
     print(f"jump-on-miss events : {len(trace.jumps):>6} "
           f"(skipped {trace.jumps[:, 2].sum()} positions)")
     print(f"jump-on-hit events  : {len(trace.hits):>6} "

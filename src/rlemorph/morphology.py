@@ -7,11 +7,16 @@ using left/right distance tables.  The tables are indexed by run, not by
 pixel: inside a run the distances to its two ends follow from the run's
 ``lx`` and ``rx``, so the tables store those ends, grouped by the rows
 that have kept runs, and cost O(runs) whatever the size of the image's
-bounding box.  A failed probe with deficit k lets the scan jump k
-candidates to the right (jump on miss); a successful probe yields the
-full eroded run from the minimum right distance over the skeleton (jump
-on hit).  Dilation is erosion of the complement with the reflected
-element, restricted to two exact rectangles.
+bounding box.  The input is trimmed three ways: runs shorter than the
+element's shortest run leave the tables, runs shorter than its longest
+run leave ``x_cut``, and an ``x_cut`` run is not probed at all unless
+every row of the element's band (its rows that run without a gap through
+the anchor row) holds kept runs.  A failed probe with deficit k lets the
+scan jump k candidates to the right, never past the end of the ``x_cut``
+run (jump on miss); a successful probe yields the full eroded run from the
+minimum right distance over the skeleton (jump on hit).  Dilation is
+erosion of the complement with the reflected element, restricted to two
+exact rectangles.
 
 One scan, ``_scan``, serves traced and untraced erosion alike.  It moves
 every ``x_cut`` run forward in lockstep with numpy: each round probes
@@ -26,6 +31,7 @@ is deep enough, or past the row's last kept run to the end of the
 """
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -60,6 +66,9 @@ class SkeletonTable:
 
     entries: read-only (E, 3) int64 array, one row (sx, sy, depth) per run
     in (y, lx) order: (sx, sy) is the run's rightmost pixel, depth its length.
+    band: the slice of entries whose rows sy run without a gap through the
+    anchor row 0; an x_cut run in a row where one of the band's rows holds
+    no kept run cannot hit.
     Compared and hashed by identity, as an array has no single truth value.
     """
 
@@ -67,6 +76,7 @@ class SkeletonTable:
     l_min: int
     l_max: int
     anchor_q: Point
+    band: slice
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,8 +128,11 @@ class ErodeTrace:
     # Lockstep rounds of the scan, summed over its chunks; a round moves
     # every unfinished x_cut run of its chunk by a jump, a hit or both.
     rounds: int = 0
+    # x_cut runs the vertical trim dropped before the first round: a row of
+    # the element's band holds no kept run, so each ends in one jump.
+    trimmed: int = 0
     # (x, y, k): the candidate at (x, y) missed, k its largest deficit over
-    # the entries; (x..x+k-1, y) skipped.
+    # the entries, cut at the end of its x_cut run; (x..x+k-1, y) skipped.
     jumps: np.ndarray = field(default_factory=lambda: np.empty((0, 3), dtype=np.int64))
     # (x, y, n): hit at (x, y) emitted a run of length n.
     hits: np.ndarray = field(default_factory=lambda: np.empty((0, 3), dtype=np.int64))
@@ -146,7 +159,14 @@ def generate_skeleton(se: RleImage) -> SkeletonTable:
     q = Point(int(a[best, 1]), int(a[best, 2]))
     entries = np.column_stack((a[:, 1] - q.x, a[:, 2] - q.y, lengths))
     entries.flags.writeable = False
-    return SkeletonTable(entries, int(lengths.min()), int(lengths.max()), q)
+    # Entries are in sy order; an entry a step of more than one row below
+    # the one before it starts a new block of gapless rows, and the band is
+    # the block holding the anchor.
+    sy = entries[:, 1]
+    starts = [0, *(np.flatnonzero(sy[1:] - sy[:-1] > 1) + 1).tolist(), len(sy)]
+    i = bisect.bisect_right(starts, best)
+    band = slice(starts[i - 1], starts[i])
+    return SkeletonTable(entries, int(lengths.min()), int(lengths.max()), q, band)
 
 
 def build_tables(x: RleImage, skel: SkeletonTable) -> ErosionTables:
@@ -194,6 +214,14 @@ def _scan(tables: ErosionTables, trace: ErodeTrace | None) -> np.ndarray:
 def _scan_chunk(tables: ErosionTables, cut: np.ndarray, trace: ErodeTrace | None) -> np.ndarray:
     """Scan some x_cut runs in lockstep; returns their hits in (y, x) order.
 
+    First the vertical trim: a run at y0 is probed only if every row
+    y0 + sy of the skeleton's band holds kept runs.  The band's rows are
+    a <= 0 <= b without a gap.  rows is strictly increasing and
+    r0 = rows.searchsorted(y0), so rows[r0 + b] == y0 + b exactly when the
+    rows y0..y0 + b are all kept, and then rows[r0 + a] == y0 + a exactly
+    when the rows y0 + a..y0 are too.  A trimmed run misses at its first
+    position and jumps to its end.
+
     Every per-cell array is entry-major, (entries, runs), so reductions
     over a run's entries run along axis 0 and finished runs drop out along
     axis 1.  Each cell keeps a cursor c into the kept runs of the row its
@@ -213,28 +241,32 @@ def _scan_chunk(tables: ErosionTables, cut: np.ndarray, trace: ErodeTrace | None
     before it, and x moves past the hit and the miss that ends it.  A run
     with an entry past its row's last kept run has x + k > rx0 and only
     jumps, out of its run.  So a round handles one or two candidates of
-    each run, and each candidate counts one probe per entry.
+    each run, and each candidate counts one probe per entry.  The trace
+    records every jump cut at rx0 - x + 1, the positions left in its run,
+    since a jump past the run's end ends the run either way.
     """
-    left, right, rows, row_ptr = tables.left, tables.right, tables.rows, tables.row_ptr
+    left, right, rows = tables.left, tables.right, tables.rows
     sx, sy, depth = tables.skel.entries.T
+    band = tables.skel.band
     x, rx0, y0 = cut.T.copy()
     run = np.arange(len(x))
+    a, b = sy[band.start], sy[band.stop - 1]
+    r0 = rows.searchsorted(y0)
+    # A band reaching past either end of rows fails its bound there before
+    # the clipped read counts.
+    full = (r0 < len(rows) - b) & (rows.take(r0 + b, mode="clip") == y0 + b)
+    if a:
+        full &= (r0 >= -a) & (rows.take(r0 + a, mode="clip") == y0 + a)
+    jumps = []
+    if not full.all():
+        if trace is not None:
+            gone = ~full
+            trace.trimmed += int(gone.sum())
+            jumps.append(np.array([run, x, y0, rx0 - x + 1]).compress(gone, axis=1))
+        x, rx0, y0, run, r0 = x[full], rx0[full], y0[full], run[full], r0[full]
+    c, e = _cursors(tables, y0, r0)
     sx, d1 = sx[:, None], (depth - 1)[:, None]
-    probed_y = y0 + sy[:, None]
-    # x_cut's rows are kept rows, so the probed row's index is the run's
-    # row index plus sy wherever the kept rows between are consecutive.
-    # Every take clips the guess to an index of rows, so a guess past the
-    # last kept row reads that row and is kept only if it is the probed
-    # one; only cells whose guess reads another row are searched.
-    r = np.add.outer(sy, rows.searchsorted(y0))
-    c, e = row_ptr[:-1].take(r, mode="clip"), row_ptr[1:].take(r, mode="clip")
-    wrong = np.flatnonzero(rows.take(r, mode="clip") != probed_y)
-    if len(wrong):
-        y = probed_y.take(wrong)
-        r = rows.searchsorted(y)
-        c.ravel()[wrong] = row_ptr.take(r)
-        e.ravel()[wrong] = row_ptr.take(r + (rows.take(r, mode="clip") == y))
-    hits, jumps, n_round = [np.empty((4, 0), dtype=np.int64)], [], 0
+    hits, n_round = [np.empty((4, 0), dtype=np.int64)], 0
     while len(x):
         n_round += 1
         px = x + sx
@@ -250,7 +282,7 @@ def _scan_chunk(tables: ErosionTables, cut: np.ndarray, trace: ErodeTrace | None
         room = (rc - px).min(axis=0)
         hit = (k <= room) & (x + k <= rx0)
         if trace is not None:
-            jumps.append(np.array([run, x, y0, k]).compress(k > 0, axis=1))
+            jumps.append(np.array([run, x, y0, np.minimum(k, rx0 - x + 1)]).compress(k > 0, axis=1))
         if hit.any():
             hits.append(np.array([run, x + k, x + room, y0]).compress(hit, axis=1))
         x = np.where(hit, x + room + 2, x + k)
@@ -265,6 +297,35 @@ def _scan_chunk(tables: ErosionTables, cut: np.ndarray, trace: ErodeTrace | None
         trace.rounds += n_round
         trace.jumps = np.concatenate((trace.jumps, jumps[1:, jumps[0].argsort(kind="stable")].T))
     return hits[1:, np.argsort(hits[0], kind="stable")].T
+
+
+def _cursors(tables: ErosionTables, y0: np.ndarray, r0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(c, e), both (entries, runs): the kept runs of the row that entry i
+    probes from the run at y0[j] are c[i, j] <= k < e[i, j].
+
+    r0 is rows.searchsorted(y0) and every band row of these runs is kept,
+    so on the band the probed row's index is exactly r0 + sy.  Off it that
+    guess holds wherever the kept rows between are consecutive; every take
+    clips the guess to an index of rows, so a guess past the last kept row
+    reads that row and is kept only if it is the probed one.  Only
+    off-band cells whose guess reads another row are searched; c and e are
+    C-ordered, so their blocks of entry rows ravel() as views.
+    """
+    rows, row_ptr = tables.rows, tables.row_ptr
+    sy, band = tables.skel.entries[:, 1], tables.skel.band
+    r = np.add.outer(sy, r0)
+    c, e = row_ptr[:-1].take(r, mode="clip"), row_ptr[1:].take(r, mode="clip")
+    for off in (slice(0, band.start), slice(band.stop, len(sy))):
+        if off.start == off.stop:
+            continue
+        probed_y = y0 + sy[off, None]
+        wrong = np.flatnonzero(rows.take(r[off], mode="clip") != probed_y)
+        if len(wrong):
+            y = probed_y.take(wrong)
+            r_y = rows.searchsorted(y)
+            c[off].ravel()[wrong] = row_ptr.take(r_y)
+            e[off].ravel()[wrong] = row_ptr.take(r_y + (rows.take(r_y, mode="clip") == y))
+    return c, e
 
 
 def _lower_bound(a: np.ndarray, lo: np.ndarray, hi: np.ndarray, v: np.ndarray) -> np.ndarray:

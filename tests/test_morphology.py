@@ -6,7 +6,7 @@ from collections import defaultdict
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rlemorph import morphology
@@ -622,6 +622,29 @@ class TestScanBoundedByRuns:
             assert len(trace.jumps) <= 2 * k + len(tables.x_cut)
             assert len(trace.hits) <= k
 
+    def test_jumps_end_inside_their_run(self):
+        # A jump skips no position past the end of its x_cut run, so the
+        # skips and the emitted pixels together fit in x_cut.
+        rng = random.Random(35)
+        for i in range(200):
+            if i % 2:
+                x = blob_image(rng.randint(8, 96), rng.randint(8, 96),
+                               blobs=rng.randint(1, 12), min_size=2, max_size=24,
+                               seed=rng.randrange(2**32))
+            else:
+                x = random_rle_image(rng, 48, 48)
+            se = random_se(rng)
+            cut = build_tables(x, generate_skeleton(se)).x_cut
+            runs = defaultdict(list)
+            for lx, rx, y in cut.array.tolist():
+                runs[y].append((lx, rx))
+            trace = ErodeTrace()
+            erode(x, se, trace)
+            for jx, jy, k in trace.jumps.tolist():
+                lx, rx = runs[jy][bisect.bisect_right(runs[jy], (jx, float("inf"))) - 1]
+                assert lx <= jx and 1 <= k <= rx - jx + 1
+            assert trace.jumps[:, 2].sum() + trace.hits[:, 2].sum() <= cut.pixel_count()
+
     def test_gap_costs_one_probe(self):
         probes = []
         for w in (10**4, 10**6, 2**60):
@@ -673,7 +696,7 @@ def reference_scan(x, se):
                 else:
                     deficits.append(row[i][1] + d - 1 - px)
                     rooms.append(row[i][0] - px)
-            k = max(deficits)
+            k = min(max(deficits), rx0 - cx + 1)
             if k > 0:
                 jumps.append((cx, y0, k))
                 cx += k
@@ -709,7 +732,8 @@ class TestScanMatchesReference:
 
     def test_chunked_scan(self, monkeypatch):
         # Taking x_cut two runs at a time changes no event, and the rounds
-        # add up over the chunks.
+        # add up over the chunks; a chunk whose runs are all trimmed takes
+        # no round.
         x, se = blob_image(64, 64, blobs=6, seed=12), diamond_se(5)
         skel = generate_skeleton(se)
         n_cut = len(build_tables(x, skel).x_cut)
@@ -719,7 +743,7 @@ class TestScanMatchesReference:
         self.check(x, se)
         chunked = ErodeTrace()
         erode(x, se, chunked)
-        assert chunked.rounds >= (n_cut + 1) // 2 > whole.rounds
+        assert chunked.rounds >= (n_cut - chunked.trimmed + 1) // 2 > whole.rounds
 
     # Rows of two runs each, (0, 9) and (12, 20) shifted by the row number.
     @staticmethod
@@ -748,6 +772,31 @@ class TestScanMatchesReference:
     def test_row_guess_paths(self, ys, se):
         self.check(self.rows(*ys), se)
 
+    # A column of height 6 over kept rows {0, 5}: anchored at the top, the
+    # band's last row lies past the last kept row; anchored at the bottom,
+    # its first row lies before the first kept row.  Index clipping would
+    # make rows 1-4 look present.
+    COLUMN_TOP = img(*[(0, 0, y) for y in range(6)])
+    COLUMN_BOTTOM = img(*[(0, 0, y) for y in range(5)], (-1, 0, 5))
+
+    @pytest.mark.parametrize("x, se, trimmed", [
+        pytest.param(img((0, 9, 0), (0, 9, 5)), COLUMN_TOP, 2, id="column-top"),
+        pytest.param(img((0, 9, 0), (0, 9, 5)), COLUMN_BOTTOM, 2, id="column-bottom"),
+        # Band rows {0, 1}, off-band row 4: the two runs of rows 1 and 5
+        # each lack a band row below them; from row 0 the guess for row 4
+        # reads row 5, so the off-band entry must be searched.
+        pytest.param(rows(0, 1, 3, 4, 5), img((0, 0, 0), (0, 0, 1), (0, 0, 4)), 4,
+                     id="gap-below"),
+        # Band row {0}, off-band row -3: from row 6 the guess reads row 0
+        # and row 3 is found by the search.
+        pytest.param(rows(0, 3, 5, 6), img((0, 0, 0), (0, 1, 3)), 0, id="gap-above"),
+    ])
+    def test_vertical_trim_paths(self, x, se, trimmed):
+        self.check(x, se)
+        trace = ErodeTrace()
+        erode(x, se, trace)
+        assert trace.trimmed == trimmed
+
 
 class TestErodeCheckAt:
     def test_solid_case(self):
@@ -764,6 +813,20 @@ class TestErodeCheckAt:
         tables = build_tables(x, generate_skeleton(img((0, 0, 0))))
         assert tables.skel.l_min == tables.skel.l_max == 1
         assert erode_check_at(tables, Point(0, 0))
+
+    def test_rows_without_kept_runs(self):
+        # Kept rows {0, 2, 5}: h on row 1 or 3 (no kept run), above the
+        # first kept row or below the last one never fits, and the column
+        # of height 6 fits nowhere.
+        x = img((0, 9, 0), (0, 9, 2), (0, 9, 5))
+        for se in (img((0, 0, 0)), img((0, 0, 0), (0, 0, 3)), img((0, 0, 0), (0, 0, 5))):
+            tables = build_tables(x, generate_skeleton(se))
+            for y in (-7, -1, 1, 3, 4, 6, 12):
+                assert not erode_check_at(tables, Point(4, y))
+        tables = build_tables(x, generate_skeleton(img((0, 0, 0), (0, 0, 3))))
+        assert erode_check_at(tables, Point(4, 2))
+        column = build_tables(x, generate_skeleton(TestScanMatchesReference.COLUMN_TOP))
+        assert not any(erode_check_at(column, Point(4, y)) for y in range(-6, 7))
 
     def test_outside_probe_is_false(self):
         se = img((0, 2, 0))
@@ -799,6 +862,46 @@ class TestErodeCheckAt:
                     (h.x + p.x, h.y + p.y) in kept for p in anchored.pixels()
                 )
                 assert erode_check_at(tables, h) == fits
+
+
+def _blank_rows(grid, blank):
+    grid = grid.copy()
+    grid[[y for y in blank if y < len(grid)]] = False
+    return grid
+
+
+# Images with a band of blank rows, and non-empty elements with gaps
+# between their rows.
+banded_images = st.builds(lambda g, lo, n, p: from_raster(_blank_rows(g, range(lo, lo + n)), p),
+                          grids, st.integers(0, 11), st.integers(0, 4), points)
+gapped_elements = st.builds(lambda g, blank, p: from_raster(_blank_rows(g, blank), p),
+                            grids, st.sets(st.integers(0, 11), max_size=6), points
+                            ).filter(lambda se: not se.is_empty)
+
+
+class TestVerticalTrim:
+    """An x_cut run is probed only if every row of the element's band
+    holds kept runs; the others end in one jump to their end."""
+
+    @settings(deadline=None)
+    @given(banded_images, gapped_elements)
+    def test_matches_naive_and_reference(self, x, se):
+        TestScanMatchesReference.check(x, se)
+        skel = generate_skeleton(se)
+        sy = skel.entries[:, 1].tolist()
+        lo = hi = 0
+        while lo - 1 in sy:
+            lo -= 1
+        while hi + 1 in sy:
+            hi += 1
+        assert [i for i, s in enumerate(sy) if lo <= s <= hi] == \
+            list(range(skel.band.start, skel.band.stop))
+        kept = {y for lx, rx, y in x.array.tolist() if rx - lx + 1 >= skel.l_min}
+        cut_rows = build_tables(x, skel).x_cut.array[:, 2].tolist()
+        trace = ErodeTrace()
+        erode(x, se, trace)
+        assert trace.trimmed == sum(any(y0 + s not in kept for s in range(lo, hi + 1))
+                                    for y0 in cut_rows)
 
 
 class TestDilate:
