@@ -9,14 +9,15 @@ pixel: inside a run the distances to its two ends follow from the run's
 that have kept runs, and cost O(runs) whatever the size of the image's
 bounding box.  The input is trimmed three ways: runs shorter than the
 element's shortest run leave the tables, runs shorter than its longest
-run leave ``x_cut``, and an ``x_cut`` run is not probed at all unless
-every row of the element's band (its rows that run without a gap through
-the anchor row) holds kept runs.  A failed probe with deficit k lets the
-scan jump k candidates to the right, never past the end of the ``x_cut``
-run (jump on miss); a successful probe yields the full eroded run from the
-minimum right distance over the skeleton (jump on hit).  Dilation is
-erosion of the complement with the reflected element, restricted to two
-exact rectangles.
+run leave ``x_cut``, and, once per erosion before the scan, an ``x_cut``
+run is dropped unless every row of the element's band (its rows that run
+without a gap through the anchor row) holds kept runs.  A failed probe
+with deficit k lets the scan jump k candidates to the right, never past
+the end of the ``x_cut`` run (jump on miss); a successful probe yields the
+full eroded run from the minimum right distance over the skeleton (jump
+on hit).  Dilation is erosion of the complement with the reflected
+element, restricted to two exact rectangles built where both boxes are
+centred on the origin.
 
 One scan, ``_scan``, serves traced and untraced erosion alike.  It moves
 every ``x_cut`` run forward in lockstep with numpy: each round probes
@@ -44,6 +45,7 @@ from .rle import (
     bounding_rect,
     complement_within,
     reflect,
+    translate,
 )
 
 # What runs the scan: numpy array operations driven from Python.
@@ -119,8 +121,9 @@ class ErodeTrace:
 
     Coordinates are in the anchored (pre-final-translation) frame:
     a candidate h means the element translated by -anchor_q was probed at h.
-    Every candidate ends in exactly one jump or one hit.  jumps and hits
-    are (n, 3) int64 arrays; each erode() call appends its rows to them.
+    Every candidate ends in exactly one jump or one hit; an x_cut run the
+    vertical trim drops holds no candidate.  jumps and hits are (n, 3)
+    int64 arrays; each erode() call appends its rows to them.
     """
 
     # Skeleton entries probed, all of them at every candidate.
@@ -128,8 +131,8 @@ class ErodeTrace:
     # Lockstep rounds of the scan, summed over its chunks; a round moves
     # every unfinished x_cut run of its chunk by a jump, a hit or both.
     rounds: int = 0
-    # x_cut runs the vertical trim dropped before the first round: a row of
-    # the element's band holds no kept run, so each ends in one jump.
+    # x_cut runs the vertical trim dropped before the scan: a row of the
+    # element's band holds no kept run, so none of their positions can hit.
     trimmed: int = 0
     # (x, y, k): the candidate at (x, y) missed, k its largest deficit over
     # the entries, cut at the end of its x_cut run; (x..x+k-1, y) skipped.
@@ -140,12 +143,6 @@ class ErodeTrace:
     @property
     def candidates(self) -> int:
         return len(self.jumps) + len(self.hits)
-
-    @property
-    def candidate_positions(self) -> np.ndarray:
-        """(n, 2) array of the (x, y) of every jump and hit, in (y, x) order."""
-        p = np.concatenate((self.jumps[:, :2], self.hits[:, :2]))
-        return p[np.lexsort((p[:, 0], p[:, 1]))]
 
 
 def generate_skeleton(se: RleImage) -> SkeletonTable:
@@ -198,29 +195,40 @@ def erode_check_at(tables: ErosionTables, h: Point) -> bool:
 
 def _scan(tables: ErosionTables, trace: ErodeTrace | None) -> np.ndarray:
     """Jump scan of x_cut.  Returns the eroded runs in the anchored frame as
-    (lx, rx, y) rows and adds the scan's counts and events to trace."""
-    cut = tables.x_cut.array
-    if not len(cut) or not len(tables.left):  # with no kept run nothing fits
-        return np.empty((0, 3), dtype=np.int64)
-    step = max(1, _CHUNK_CELLS // len(tables.skel.entries))
-    runs = np.concatenate([_scan_chunk(tables, cut[i:i + step], trace)
-                           for i in range(0, len(cut), step)])
+    (lx, rx, y) rows and adds the scan's counts and events to trace.
+
+    First the vertical trim: a run at y0 is scanned only if the rows
+    y0 + a..y0 + b of the skeleton's band all hold kept runs.  rows is
+    strictly increasing, so with r0 = rows.searchsorted(y0 + a) they do
+    exactly when rows[r0 + b - a] == y0 + b, read only where that index
+    exists.  Trimmed runs leave no event.
+    """
+    rows = tables.rows
+    if not len(tables.x_cut) or not len(rows):  # with no kept run nothing fits
+        return EMPTY.array
+    sy, band = tables.skel.entries[:, 1], tables.skel.band
+    a, b = sy[band.start], sy[band.stop - 1]
+    cut = tables.x_cut.array.T.copy()
+    r0 = rows.searchsorted(cut[2] + a)
+    full = (r0 < len(rows) - (b - a)) & (rows.take(r0 + (b - a), mode="clip") == cut[2] + b)
+    if not full.all():
+        cut, r0 = cut.compress(full, axis=1), r0.compress(full)
+    step = max(1, _CHUNK_CELLS // len(sy))
+    chunks = (_scan_chunk(tables, cut[:, i:i + step], r0[i:i + step], trace)
+              for i in range(0, len(r0), step))
+    runs = np.concatenate([EMPTY.array, *chunks])
     if trace is not None:
         lx, rx, y = runs.T
+        trace.trimmed += len(full) - len(r0)
         trace.hits = np.concatenate((trace.hits, np.column_stack((lx, y, rx - lx + 1))))
     return runs
 
 
-def _scan_chunk(tables: ErosionTables, cut: np.ndarray, trace: ErodeTrace | None) -> np.ndarray:
-    """Scan some x_cut runs in lockstep; returns their hits in (y, x) order.
-
-    First the vertical trim: a run at y0 is probed only if every row
-    y0 + sy of the skeleton's band holds kept runs.  The band's rows are
-    a <= 0 <= b without a gap.  rows is strictly increasing and
-    r0 = rows.searchsorted(y0), so rows[r0 + b] == y0 + b exactly when the
-    rows y0..y0 + b are all kept, and then rows[r0 + a] == y0 + a exactly
-    when the rows y0 + a..y0 are too.  A trimmed run misses at its first
-    position and jumps to its end.
+def _scan_chunk(tables: ErosionTables, cut: np.ndarray, r0: np.ndarray,
+                trace: ErodeTrace | None) -> np.ndarray:
+    """Scan some x_cut runs, given as the rows lx, rx and y of cut, in
+    lockstep; returns their hits in (y, x) order.  Every band row of these
+    runs is kept, the first at rows[r0].
 
     Every per-cell array is entry-major, (entries, runs), so reductions
     over a run's entries run along axis 0 and finished runs drop out along
@@ -245,28 +253,13 @@ def _scan_chunk(tables: ErosionTables, cut: np.ndarray, trace: ErodeTrace | None
     records every jump cut at rx0 - x + 1, the positions left in its run,
     since a jump past the run's end ends the run either way.
     """
-    left, right, rows = tables.left, tables.right, tables.rows
-    sx, sy, depth = tables.skel.entries.T
-    band = tables.skel.band
-    x, rx0, y0 = cut.T.copy()
+    left, right = tables.left, tables.right
+    sx, _, depth = tables.skel.entries.T
+    x, rx0, y0 = cut
     run = np.arange(len(x))
-    a, b = sy[band.start], sy[band.stop - 1]
-    r0 = rows.searchsorted(y0)
-    # A band reaching past either end of rows fails its bound there before
-    # the clipped read counts.
-    full = (r0 < len(rows) - b) & (rows.take(r0 + b, mode="clip") == y0 + b)
-    if a:
-        full &= (r0 >= -a) & (rows.take(r0 + a, mode="clip") == y0 + a)
-    jumps = []
-    if not full.all():
-        if trace is not None:
-            gone = ~full
-            trace.trimmed += int(gone.sum())
-            jumps.append(np.array([run, x, y0, rx0 - x + 1]).compress(gone, axis=1))
-        x, rx0, y0, run, r0 = x[full], rx0[full], y0[full], run[full], r0[full]
     c, e = _cursors(tables, y0, r0)
     sx, d1 = sx[:, None], (depth - 1)[:, None]
-    hits, n_round = [np.empty((4, 0), dtype=np.int64)], 0
+    hits, jumps, n_round = [np.empty((4, 0), dtype=np.int64)], [], 0
     while len(x):
         n_round += 1
         px = x + sx
@@ -303,17 +296,17 @@ def _cursors(tables: ErosionTables, y0: np.ndarray, r0: np.ndarray) -> tuple[np.
     """(c, e), both (entries, runs): the kept runs of the row that entry i
     probes from the run at y0[j] are c[i, j] <= k < e[i, j].
 
-    r0 is rows.searchsorted(y0) and every band row of these runs is kept,
-    so on the band the probed row's index is exactly r0 + sy.  Off it that
-    guess holds wherever the kept rows between are consecutive; every take
-    clips the guess to an index of rows, so a guess past the last kept row
-    reads that row and is kept only if it is the probed one.  Only
+    Every band row of these runs is kept, the first, y0 + a, at rows[r0],
+    so on the band the probed row's index is exactly r0 + sy - a.  Off it
+    that guess holds wherever the kept rows between are consecutive; every
+    take clips the guess to an index of rows, so a guess past the last kept
+    row reads that row and is kept only if it is the probed one.  Only
     off-band cells whose guess reads another row are searched; c and e are
     C-ordered, so their blocks of entry rows ravel() as views.
     """
     rows, row_ptr = tables.rows, tables.row_ptr
     sy, band = tables.skel.entries[:, 1], tables.skel.band
-    r = np.add.outer(sy, r0)
+    r = np.add.outer(sy - sy[band.start], r0)
     c, e = row_ptr[:-1].take(r, mode="clip"), row_ptr[1:].take(r, mode="clip")
     for off in (slice(0, band.start), slice(band.stop, len(sy))):
         if off.start == off.stop:
@@ -350,12 +343,18 @@ def dilate(x: RleImage, se: RleImage) -> RleImage:
     """Exact dilation via duality: complement, erode by the reflected
     element, complement back.  The dilation lies in the box rb + sb; for h
     in it and b in se, h - b lies in rb grown by sb's size less one, so
-    complementing x within that rectangle is exact."""
+    complementing x within that rectangle is exact.  Both rectangles are
+    built, nearest the origin, where the boxes of x and se are centred on
+    it, so a dilation is refused only if its result leaves +-2**61 or half
+    x's width or height plus the element's exceeds 2**61."""
     if se.is_empty:
         raise EmptyStructuringElementError("empty structuring element")
     if x.is_empty:
         return EMPTY
+    u, v = (Point((r.l + r.r) // 2, (r.t + r.b) // 2) for r in map(bounding_rect, (x, se)))
+    x, se = translate(x, Point(-u.x, -u.y)), translate(se, Point(-v.x, -v.y))
     rb, sb = bounding_rect(x), bounding_rect(se)
     x_comp = complement_within(x, rb.grown(sb.width - 1, sb.height - 1))
     eroded = erode(x_comp, reflect(se))
-    return complement_within(eroded, Rect(rb.l + sb.l, rb.r + sb.r, rb.t + sb.t, rb.b + sb.b))
+    out = complement_within(eroded, Rect(rb.l + sb.l, rb.r + sb.r, rb.t + sb.t, rb.b + sb.b))
+    return translate(out, Point(u.x + v.x, u.y + v.y))

@@ -134,11 +134,11 @@ class TestCliErodeDilate:
 
     @pytest.mark.parametrize("op, x, se", [
         ("erode", img((2**61 - 3, 2**61, 0)), img((-(2**61), -(2**61), 0))),
-        ("dilate", img((2**61 - 3, 2**61 - 3, 0)), square_se(5)),
+        ("dilate", img((2**61 - 1, 2**61 - 1, 0)), square_se(5)),
     ], ids=["erode", "dilate"])
     def test_coordinate_bound_exit_code(self, tmp_path, capsys, op, x, se):
-        # Valid inputs whose result, or dilation's complement rectangle,
-        # leaves +-2**61: a domain error, not a usage error.
+        # Valid inputs whose result leaves +-2**61: a domain error, not a
+        # usage error.
         paths = [tmp_path / name for name in ("x.rle", "se.rle", "out.rle")]
         paths[0].write_text(write_rle_text(x))
         paths[1].write_text(write_rle_text(se))
@@ -340,15 +340,19 @@ class TestBench:
             assert len(ero) == 1 and len(dil) == 1
 
     def test_failing_case_recorded(self, tmp_path):
-        # A pixel within the element's width of 2**61: its dilation's
-        # complement rectangle leaves the bound, so the operator refuses.
+        # The dilation of the pixel at 2**61 - 1 by square 5 reaches
+        # 2**61 + 1, so the operator refuses; at 2**61 - 3 it fits.
         src = tmp_path / "x.rle"
-        src.write_text(f"0 {2**61 - 3} {2**61 - 3}\n")
+        src.write_text(f"0 {2**61 - 1} {2**61 - 1}\n")
         rows = run_bench(image_source=str(src), elements=("square:5",),
                          algorithms=("fast-dilate",), iterations=3)
         assert len(rows) == 1
         assert rows[0]["status"].startswith("error:")
         assert "2**61" in rows[0]["status"]
+        src.write_text(f"0 {2**61 - 3} {2**61 - 3}\n")
+        rows = run_bench(image_source=str(src), elements=("square:5",),
+                         algorithms=("fast-dilate",), iterations=3)
+        assert [(r["status"], r["runs_out"], r["pixels_out"]) for r in rows] == [("ok", 5, 25)]
 
     def test_csv_schema(self, tmp_path):
         src = tmp_path / "x.rle"

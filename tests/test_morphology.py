@@ -307,11 +307,23 @@ class TestCoordinateBound:
         with pytest.raises(ValueError, match="beyond"):
             erode(img((2**61 - 3, 2**61, 0)), img((-(2**61), -(2**61), 0)))
 
-    def test_dilation_whose_complement_rectangle_leaves_the_bound(self):
-        # The dilation ends at 2**61 - 1, but the complement rectangle of
-        # the duality reaches 2**61 + 1.
+    def test_dilation_leaving_the_bound(self):
+        # The dilation of the pixel at 2**61 - 1 reaches 2**61 + 1.
         with pytest.raises(ValueError, match="beyond"):
-            dilate(img((2**61 - 3, 2**61 - 3, 0)), square_se(5))
+            dilate(img((2**61 - 1, 2**61 - 1, 0)), square_se(5))
+        # At 2**61 - 3 it ends at 2**61 - 1 and fits, although the
+        # complement rectangle around x's box would reach 2**61 + 1.
+        assert dilate(img((2**61 - 3, 2**61 - 3, 0)), square_se(5)) == \
+            img(*[(2**61 - 5, 2**61 - 1, y) for y in range(-2, 3)])
+
+    @pytest.mark.parametrize("x, se, expected", [
+        (img((-10, 2**61 - 5, 0)), square_se(3), img(*[(-11, 2**61 - 4, y) for y in (-1, 0, 1)])),
+        (img((-(2**61), -(2**61) + 10, 0)), img((2**61, 2**61, 0)), img((0, 10, 0))),
+    ], ids=["wide-image", "far-element"])
+    def test_dilation_inside_the_bound(self, x, se, expected):
+        # The rectangles of these fitting dilations stay inside the bound
+        # where the boxes lie, but not where x's box starts at the origin.
+        assert dilate(x, se) == expected
 
 
 def assert_compact(out):
@@ -362,10 +374,11 @@ class TestErodeInstrumented:
             skel = generate_skeleton(se)
             cut = build_tables(x, skel).x_cut
             cut_pixels = cut.pixel_set()
+            positions = np.concatenate((trace.jumps[:, :2], trace.hits[:, :2]))
             assert trace.candidates <= cut.pixel_count()
-            assert all(tuple(p) in cut_pixels for p in trace.candidate_positions.tolist())
+            assert all(tuple(p) in cut_pixels for p in positions.tolist())
             # no candidate among the first l_max - 1 pixels of any run
-            for px, py in trace.candidate_positions:
+            for px, py in positions:
                 run = next(
                     r for r in x.runs if r.y == py and r.lx <= px <= r.rx
                 )
@@ -448,17 +461,6 @@ class TestTraceArrays:
         assert np.array_equal(both.hits, np.concatenate((ta.hits, tb.hits)))
         assert (both.probes, both.rounds) == (ta.probes + tb.probes, ta.rounds + tb.rounds)
 
-    def test_candidate_positions_sorted_by_row_then_x(self):
-        rng = random.Random(25)
-        for _ in range(40):
-            trace = ErodeTrace()
-            erode(random_rle_image(rng, 32, 32), random_se(rng), trace)
-            events = trace.jumps.tolist() + trace.hits.tolist()
-            expected = sorted(((x, y) for x, y, _ in events), key=lambda p: (p[1], p[0]))
-            positions = trace.candidate_positions
-            assert positions.shape == (len(expected), 2)
-            assert list(map(tuple, positions.tolist())) == expected
-
 
 class TestScanKernel:
     """The one jump scan serves both traced and untraced erosion."""
@@ -475,26 +477,30 @@ class TestScanKernel:
             assert [[lx + q.x, y + q.y, rx - lx + 1] for lx, rx, y in traced.runs] == \
                 trace.hits.tolist()
 
-    # (candidates, probes, jumps, hits) of the jump scan on fixed cases.  A
-    # probe is one skeleton entry at one candidate, so probes = entries x
-    # (jumps + hits), and a jump skips the largest deficit over the entries.
+    # (candidates, probes, jumps, hits, trimmed) of the jump scan on fixed
+    # cases.  A probe is one skeleton entry at one candidate, so probes =
+    # entries x (jumps + hits), and a jump skips the largest deficit over
+    # the entries.  Trimmed x_cut runs are not scanned.
     @pytest.mark.parametrize("x, se, counts", [
-        pytest.param(SOLID_5, square_se(3), (5, 15, 2, 3), id="solid5-square3"),
+        pytest.param(SOLID_5, square_se(3), (3, 9, 0, 3, 2), id="solid5-square3"),
         pytest.param(blob_image(128, 96, blobs=12, seed=3), diamond_se(7),
-                     (204, 1428, 59, 145), id="blob-diamond7"),
+                     (192, 1344, 47, 145, 12), id="blob-diamond7"),
         pytest.param(blob_image(160, 160, blobs=20, seed=5), square_se(11),
-                     (499, 5489, 177, 322), id="blob-square11"),
+                     (489, 5379, 167, 322, 10), id="blob-square11"),
         pytest.param(random_image(48, 40, 0.7, seed=2), square_se(3),
-                     (274, 822, 222, 52), id="random-square3"),
+                     (262, 786, 210, 52, 12), id="random-square3"),
         pytest.param(blob_image(96, 96, blobs=10, seed=8),
                      img((0, 4, 0), (2, 2, 3), (-3, -1, 5)),
-                     (259, 777, 131, 128), id="blob-three-runs"),
+                     (259, 777, 131, 128, 0), id="blob-three-runs"),
     ])
     def test_counts_pinned(self, x, se, counts):
         trace = ErodeTrace()
         erode(x, se, trace)
-        assert (trace.candidates, trace.probes, len(trace.jumps), len(trace.hits)) == counts
-        assert len(trace.candidate_positions) == trace.candidates
+        assert (trace.candidates, trace.probes, len(trace.jumps), len(trace.hits),
+                trace.trimmed) == counts
+        # No position is a candidate twice.
+        positions = np.concatenate((trace.jumps[:, :2], trace.hits[:, :2]))
+        assert len(np.unique(positions, axis=0)) == trace.candidates
 
     # Lockstep rounds on the cases above: a round moves every unfinished
     # x_cut run by a jump, a hit or a jump that lands on a hit.
@@ -669,21 +675,26 @@ class TestScanBoundedByRuns:
 
 def reference_scan(x, se):
     """The jump scan written out one candidate at a time, from the input's
-    runs: (jumps, hits, probes) as ErodeTrace records them.
+    runs: (jumps, hits, probes, trimmed) as ErodeTrace records them.
 
-    Each entry (s, d) probes px = cx + s.x in row y0 + s.y and finds the
-    first kept run of that row with right end >= px.  Its deficit is
-    left + d - 1 - px, or rx0 - cx + 1 past the row's last kept run.  The
-    candidate jumps by the largest deficit, or hits up to the nearest right
-    end and then skips the miss after it."""
+    A run is skipped, trimmed, unless every row of the element's band
+    holds kept runs.  Each entry (s, d) probes px = cx + s.x in row
+    y0 + s.y and finds the first kept run of that row with right end >= px.
+    Its deficit is left + d - 1 - px, or rx0 - cx + 1 past the row's last
+    kept run.  The candidate jumps by the largest deficit, or hits up to the
+    nearest right end and then skips the miss after it."""
     skel = generate_skeleton(se)
     kept = defaultdict(list)
     for lx, rx, y in x.array.tolist():
         if rx - lx + 1 >= skel.l_min:
             kept[y].append((rx, lx))
-    jumps, hits, probes = [], [], 0
+    band = skel.entries[skel.band, 1].tolist()
+    jumps, hits, probes, trimmed = [], [], 0, 0
     for lx, rx0, y0 in x.array.tolist():
         cx = lx + skel.l_max - 1
+        if cx <= rx0 and not all(kept.get(y0 + sy) for sy in band):
+            trimmed += 1
+            continue
         while cx <= rx0:
             probes += len(skel.entries)
             deficits, rooms = [], []
@@ -703,7 +714,7 @@ def reference_scan(x, se):
             else:
                 hits.append((cx, y0, min(rooms) + 1))
                 cx += min(rooms) + 2
-    return jumps, hits, probes
+    return jumps, hits, probes, trimmed
 
 
 class TestScanMatchesReference:
@@ -714,9 +725,9 @@ class TestScanMatchesReference:
     def check(x, se):
         trace = ErodeTrace()
         out = erode(x, se, trace)
-        jumps, hits, probes = reference_scan(x, se)
-        assert (trace.jumps.tolist(), trace.hits.tolist(), trace.probes) == \
-            ([list(j) for j in jumps], [list(h) for h in hits], probes)
+        jumps, hits, probes, trimmed = reference_scan(x, se)
+        assert (trace.jumps.tolist(), trace.hits.tolist(), trace.probes, trace.trimmed) == \
+            ([list(j) for j in jumps], [list(h) for h in hits], probes, trimmed)
         assert out == erode_naive(x, se)
 
     def test_random_and_blob_cases(self):
@@ -731,9 +742,8 @@ class TestScanMatchesReference:
             self.check(x, random_se(rng))
 
     def test_chunked_scan(self, monkeypatch):
-        # Taking x_cut two runs at a time changes no event, and the rounds
-        # add up over the chunks; a chunk whose runs are all trimmed takes
-        # no round.
+        # Taking the untrimmed x_cut runs two at a time changes no event,
+        # and the rounds add up over the chunks.
         x, se = blob_image(64, 64, blobs=6, seed=12), diamond_se(5)
         skel = generate_skeleton(se)
         n_cut = len(build_tables(x, skel).x_cut)
@@ -779,23 +789,24 @@ class TestScanMatchesReference:
     COLUMN_TOP = img(*[(0, 0, y) for y in range(6)])
     COLUMN_BOTTOM = img(*[(0, 0, y) for y in range(5)], (-1, 0, 5))
 
-    @pytest.mark.parametrize("x, se, trimmed", [
-        pytest.param(img((0, 9, 0), (0, 9, 5)), COLUMN_TOP, 2, id="column-top"),
-        pytest.param(img((0, 9, 0), (0, 9, 5)), COLUMN_BOTTOM, 2, id="column-bottom"),
+    # (trimmed, candidates): a trimmed run holds no candidate.
+    @pytest.mark.parametrize("x, se, counts", [
+        pytest.param(img((0, 9, 0), (0, 9, 5)), COLUMN_TOP, (2, 0), id="column-top"),
+        pytest.param(img((0, 9, 0), (0, 9, 5)), COLUMN_BOTTOM, (2, 0), id="column-bottom"),
         # Band rows {0, 1}, off-band row 4: the two runs of rows 1 and 5
         # each lack a band row below them; from row 0 the guess for row 4
         # reads row 5, so the off-band entry must be searched.
-        pytest.param(rows(0, 1, 3, 4, 5), img((0, 0, 0), (0, 0, 1), (0, 0, 4)), 4,
+        pytest.param(rows(0, 1, 3, 4, 5), img((0, 0, 0), (0, 0, 1), (0, 0, 4)), (4, 10),
                      id="gap-below"),
         # Band row {0}, off-band row -3: from row 6 the guess reads row 0
         # and row 3 is found by the search.
-        pytest.param(rows(0, 3, 5, 6), img((0, 0, 0), (0, 1, 3)), 0, id="gap-above"),
+        pytest.param(rows(0, 3, 5, 6), img((0, 0, 0), (0, 1, 3)), (0, 12), id="gap-above"),
     ])
-    def test_vertical_trim_paths(self, x, se, trimmed):
+    def test_vertical_trim_paths(self, x, se, counts):
         self.check(x, se)
         trace = ErodeTrace()
         erode(x, se, trace)
-        assert trace.trimmed == trimmed
+        assert (trace.trimmed, trace.candidates) == counts
 
 
 class TestErodeCheckAt:
@@ -827,6 +838,9 @@ class TestErodeCheckAt:
         assert erode_check_at(tables, Point(4, 2))
         column = build_tables(x, generate_skeleton(TestScanMatchesReference.COLUMN_TOP))
         assert not any(erode_check_at(column, Point(4, y)) for y in range(-6, 7))
+        # No run of x is 11 long, so the tables keep no row at all.
+        none_kept = build_tables(x, generate_skeleton(img((0, 10, 0))))
+        assert len(none_kept.rows) == 0 and not erode_check_at(none_kept, Point(10, 0))
 
     def test_outside_probe_is_false(self):
         se = img((0, 2, 0))
@@ -880,8 +894,8 @@ gapped_elements = st.builds(lambda g, blank, p: from_raster(_blank_rows(g, blank
 
 
 class TestVerticalTrim:
-    """An x_cut run is probed only if every row of the element's band
-    holds kept runs; the others end in one jump to their end."""
+    """An x_cut run is scanned only if every row of the element's band
+    holds kept runs; the others leave no event."""
 
     @settings(deadline=None)
     @given(banded_images, gapped_elements)
