@@ -39,7 +39,7 @@ def main(argv=None) -> int:
     print(f"backend: {BACKEND}")
     print(f"input: {total} pixels in {len(image)} runs")
     print(f"element: {args.se}, "
-          f"{len(skel.entries)} skeleton entries, "
+          f"{len(skel.entries)} skeleton entries in {len(skel.blocks) - 1} row blocks, "
           f"l_min={skel.l_min}, l_max={skel.l_max}")
     print(f"output: {result.pixel_count()} pixels in {len(result)} runs")
     print(f"tables: {len(tables.left)} kept runs, left {tables.left.nbytes} B, "
@@ -54,7 +54,7 @@ def main(argv=None) -> int:
     print(f"skeleton probes     : {trace.probes:>6}")
     print(f"lockstep rounds     : {trace.rounds:>6}")
     print(f"trimmed x_cut runs  : {trace.trimmed:>6} "
-          f"(a row of the element's band holds no kept run)")
+          f"(a row the element probes holds no kept run)")
     print(f"jump-on-miss events : {len(trace.jumps):>6} "
           f"(skipped {trace.jumps[:, 2].sum()} positions)")
     print(f"jump-on-hit events  : {len(trace.hits):>6} "

@@ -10,14 +10,14 @@ that have kept runs, and cost O(runs) whatever the size of the image's
 bounding box.  The input is trimmed three ways: runs shorter than the
 element's shortest run leave the tables, runs shorter than its longest
 run leave ``x_cut``, and, once per erosion before the scan, an ``x_cut``
-run is dropped unless every row of the element's band (its rows that run
-without a gap through the anchor row) holds kept runs.  A failed probe
-with deficit k lets the scan jump k candidates to the right, never past
-the end of the ``x_cut`` run (jump on miss); a successful probe yields the
-full eroded run from the minimum right distance over the skeleton (jump
-on hit).  Dilation is erosion of the complement with the reflected
-element, restricted to two exact rectangles built where both boxes are
-centred on the origin.
+run is dropped unless every row its element probes holds kept runs, so
+each probed row of a scanned run is found from the run's row alone.  A
+failed probe with deficit k lets the scan jump k candidates to the right,
+never past the end of the ``x_cut`` run (jump on miss); a successful probe
+yields the full eroded run from the minimum right distance over the
+skeleton (jump on hit).  Dilation is erosion of the complement with the
+reflected element, restricted to two exact rectangles built where both
+boxes are centred on the origin.
 
 One scan, ``_scan``, serves traced and untraced erosion alike.  It moves
 every ``x_cut`` run forward in lockstep with numpy: each round probes
@@ -32,7 +32,6 @@ is deep enough, or past the row's last kept run to the end of the
 """
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -68,9 +67,10 @@ class SkeletonTable:
 
     entries: read-only (E, 3) int64 array, one row (sx, sy, depth) per run
     in (y, lx) order: (sx, sy) is the run's rightmost pixel, depth its length.
-    band: the slice of entries whose rows sy run without a gap through the
-    anchor row 0; an x_cut run in a row where one of the band's rows holds
-    no kept run cannot hit.
+    blocks: read-only int64 array 0 = blocks[0] < ... < blocks[-1] = E;
+    entries blocks[i] <= k < blocks[i + 1] form block i, a maximal run of
+    entries whose rows sy follow one another without a gap, so that the
+    vertical trim tests each block by its first and last rows.
     Compared and hashed by identity, as an array has no single truth value.
     """
 
@@ -78,7 +78,7 @@ class SkeletonTable:
     l_min: int
     l_max: int
     anchor_q: Point
-    band: slice
+    blocks: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,8 +131,8 @@ class ErodeTrace:
     # Lockstep rounds of the scan, summed over its chunks; a round moves
     # every unfinished x_cut run of its chunk by a jump, a hit or both.
     rounds: int = 0
-    # x_cut runs the vertical trim dropped before the scan: a row of the
-    # element's band holds no kept run, so none of their positions can hit.
+    # x_cut runs the vertical trim dropped before the scan: a row the
+    # element probes holds no kept run, so none of their positions can hit.
     trimmed: int = 0
     # (x, y, k): the candidate at (x, y) missed, k its largest deficit over
     # the entries, cut at the end of its x_cut run; (x..x+k-1, y) skipped.
@@ -157,13 +157,11 @@ def generate_skeleton(se: RleImage) -> SkeletonTable:
     entries = np.column_stack((a[:, 1] - q.x, a[:, 2] - q.y, lengths))
     entries.flags.writeable = False
     # Entries are in sy order; an entry a step of more than one row below
-    # the one before it starts a new block of gapless rows, and the band is
-    # the block holding the anchor.
+    # the one before it starts a new block of gapless rows.
     sy = entries[:, 1]
-    starts = [0, *(np.flatnonzero(sy[1:] - sy[:-1] > 1) + 1).tolist(), len(sy)]
-    i = bisect.bisect_right(starts, best)
-    band = slice(starts[i - 1], starts[i])
-    return SkeletonTable(entries, int(lengths.min()), int(lengths.max()), q, band)
+    blocks = np.concatenate(([0], np.flatnonzero(sy[1:] - sy[:-1] > 1) + 1, [len(sy)]))
+    blocks.flags.writeable = False
+    return SkeletonTable(entries, int(lengths.min()), int(lengths.max()), q, blocks)
 
 
 def build_tables(x: RleImage, skel: SkeletonTable) -> ErosionTables:
@@ -197,29 +195,32 @@ def _scan(tables: ErosionTables, trace: ErodeTrace | None) -> np.ndarray:
     """Jump scan of x_cut.  Returns the eroded runs in the anchored frame as
     (lx, rx, y) rows and adds the scan's counts and events to trace.
 
-    First the vertical trim: a run at y0 is scanned only if the rows
-    y0 + a..y0 + b of the skeleton's band all hold kept runs.  rows is
-    strictly increasing, so with r0 = rows.searchsorted(y0 + a) they do
-    exactly when rows[r0 + b - a] == y0 + b, read only where that index
-    exists.  Trimmed runs leave no event.
+    First the vertical trim: a run at y0 is scanned only if every row y0 + sy
+    its skeleton probes holds kept runs.  For a block with first and last
+    rows a and b, rows is strictly increasing, so with
+    r0 = rows.searchsorted(y0 + a) the rows y0 + a..y0 + b all do exactly
+    when rows[r0 + b - a] == y0 + b, read only where that index exists.  r0
+    holds one row of these indices per block.  Trimmed runs leave no event.
     """
     rows = tables.rows
     if not len(tables.x_cut) or not len(rows):  # with no kept run nothing fits
         return EMPTY.array
-    sy, band = tables.skel.entries[:, 1], tables.skel.band
-    a, b = sy[band.start], sy[band.stop - 1]
+    sy, blocks = tables.skel.entries[:, 1], tables.skel.blocks
+    a, b = sy[blocks[:-1]], sy[blocks[1:] - 1]
+    span = (b - a)[:, None]
     cut = tables.x_cut.array.T.copy()
-    r0 = rows.searchsorted(cut[2] + a)
-    full = (r0 < len(rows) - (b - a)) & (rows.take(r0 + (b - a), mode="clip") == cut[2] + b)
+    r0 = rows.searchsorted(np.add.outer(a, cut[2]))
+    full = ((r0 < len(rows) - span)
+            & (rows.take(r0 + span, mode="clip") == np.add.outer(b, cut[2]))).all(axis=0)
     if not full.all():
-        cut, r0 = cut.compress(full, axis=1), r0.compress(full)
+        cut, r0 = cut.compress(full, axis=1), r0.compress(full, axis=1)
     step = max(1, _CHUNK_CELLS // len(sy))
-    chunks = (_scan_chunk(tables, cut[:, i:i + step], r0[i:i + step], trace)
-              for i in range(0, len(r0), step))
+    chunks = (_scan_chunk(tables, cut[:, i:i + step], r0[:, i:i + step], trace)
+              for i in range(0, cut.shape[1], step))
     runs = np.concatenate([EMPTY.array, *chunks])
     if trace is not None:
         lx, rx, y = runs.T
-        trace.trimmed += len(full) - len(r0)
+        trace.trimmed += len(full) - cut.shape[1]
         trace.hits = np.concatenate((trace.hits, np.column_stack((lx, y, rx - lx + 1))))
     return runs
 
@@ -227,13 +228,15 @@ def _scan(tables: ErosionTables, trace: ErodeTrace | None) -> np.ndarray:
 def _scan_chunk(tables: ErosionTables, cut: np.ndarray, r0: np.ndarray,
                 trace: ErodeTrace | None) -> np.ndarray:
     """Scan some x_cut runs, given as the rows lx, rx and y of cut, in
-    lockstep; returns their hits in (y, x) order.  Every band row of these
-    runs is kept, the first at rows[r0].
+    lockstep; returns their hits in (y, x) order.  Every row these runs
+    probe holds kept runs.  From run j the first row a of block i is
+    rows[r0[i, j]], and the block's rows follow without a gap, so an entry
+    of it probes rows[r0[i, j] + sy - a].
 
     Every per-cell array is entry-major, (entries, runs), so reductions
     over a run's entries run along axis 0 and finished runs drop out along
     axis 1.  Each cell keeps a cursor c into the kept runs of the row its
-    entry probes and the end e of that row's runs (c == e if it has none).
+    entry probes and the end e of that row's runs.
     A run's candidates only move right, so c only moves forward: each
     round moves it to the first kept run that ends at or right of the
     probe px = x + sx.  The entry's deficit is then left[c] + d - 1 - px,
@@ -253,11 +256,15 @@ def _scan_chunk(tables: ErosionTables, cut: np.ndarray, r0: np.ndarray,
     records every jump cut at rx0 - x + 1, the positions left in its run,
     since a jump past the run's end ends the run either way.
     """
-    left, right = tables.left, tables.right
-    sx, _, depth = tables.skel.entries.T
+    left, right, blocks = tables.left, tables.right, tables.skel.blocks.tolist()
+    sx, sy, depth = tables.skel.entries.T
     x, rx0, y0 = cut
     run = np.arange(len(x))
-    c, e = _cursors(tables, y0, r0)
+    # c holds each cell's row index first, then that row's first kept run.
+    c = np.empty((len(sy), len(x)), dtype=np.int64)
+    for i, (lo, hi) in enumerate(zip(blocks, blocks[1:])):
+        np.add.outer(sy[lo:hi] - sy[lo], r0[i], out=c[lo:hi])
+    c, e = tables.row_ptr[:-1].take(c), tables.row_ptr[1:].take(c)
     sx, d1 = sx[:, None], (depth - 1)[:, None]
     hits, jumps, n_round = [np.empty((4, 0), dtype=np.int64)], [], 0
     while len(x):
@@ -290,35 +297,6 @@ def _scan_chunk(tables: ErosionTables, cut: np.ndarray, r0: np.ndarray,
         trace.rounds += n_round
         trace.jumps = np.concatenate((trace.jumps, jumps[1:, jumps[0].argsort(kind="stable")].T))
     return hits[1:, np.argsort(hits[0], kind="stable")].T
-
-
-def _cursors(tables: ErosionTables, y0: np.ndarray, r0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(c, e), both (entries, runs): the kept runs of the row that entry i
-    probes from the run at y0[j] are c[i, j] <= k < e[i, j].
-
-    Every band row of these runs is kept, the first, y0 + a, at rows[r0],
-    so on the band the probed row's index is exactly r0 + sy - a.  Off it
-    that guess holds wherever the kept rows between are consecutive; every
-    take clips the guess to an index of rows, so a guess past the last kept
-    row reads that row and is kept only if it is the probed one.  Only
-    off-band cells whose guess reads another row are searched; c and e are
-    C-ordered, so their blocks of entry rows ravel() as views.
-    """
-    rows, row_ptr = tables.rows, tables.row_ptr
-    sy, band = tables.skel.entries[:, 1], tables.skel.band
-    r = np.add.outer(sy - sy[band.start], r0)
-    c, e = row_ptr[:-1].take(r, mode="clip"), row_ptr[1:].take(r, mode="clip")
-    for off in (slice(0, band.start), slice(band.stop, len(sy))):
-        if off.start == off.stop:
-            continue
-        probed_y = y0 + sy[off, None]
-        wrong = np.flatnonzero(rows.take(r[off], mode="clip") != probed_y)
-        if len(wrong):
-            y = probed_y.take(wrong)
-            r_y = rows.searchsorted(y)
-            c[off].ravel()[wrong] = row_ptr.take(r_y)
-            e[off].ravel()[wrong] = row_ptr.take(r_y + (rows.take(r_y, mode="clip") == y))
-    return c, e
 
 
 def _lower_bound(a: np.ndarray, lo: np.ndarray, hi: np.ndarray, v: np.ndarray) -> np.ndarray:

@@ -491,7 +491,7 @@ class TestScanKernel:
                      (262, 786, 210, 52, 12), id="random-square3"),
         pytest.param(blob_image(96, 96, blobs=10, seed=8),
                      img((0, 4, 0), (2, 2, 3), (-3, -1, 5)),
-                     (259, 777, 131, 128, 0), id="blob-three-runs"),
+                     (249, 747, 121, 128, 10), id="blob-three-runs"),
     ])
     def test_counts_pinned(self, x, se, counts):
         trace = ErodeTrace()
@@ -673,27 +673,28 @@ class TestScanBoundedByRuns:
         assert peak < 64 * 2**10
 
 
-def reference_scan(x, se):
+def reference_scan(x, se, trim=True):
     """The jump scan written out one candidate at a time, from the input's
-    runs: (jumps, hits, probes, trimmed) as ErodeTrace records them.
+    runs: (jumps, hits, probes, trimmed) as ErodeTrace records them, but
+    with trimmed the list of trimmed x_cut runs (lx, rx, y), not their count.
 
-    A run is skipped, trimmed, unless every row of the element's band
-    holds kept runs.  Each entry (s, d) probes px = cx + s.x in row
-    y0 + s.y and finds the first kept run of that row with right end >= px.
-    Its deficit is left + d - 1 - px, or rx0 - cx + 1 past the row's last
-    kept run.  The candidate jumps by the largest deficit, or hits up to the
-    nearest right end and then skips the miss after it."""
+    With trim, an x_cut run is skipped, trimmed, unless every row its
+    element probes holds kept runs.  Each entry (s, d) probes px = cx + s.x
+    in row y0 + s.y and finds the first kept run of that row with right end
+    >= px.  Its deficit is left + d - 1 - px, or rx0 - cx + 1 past the
+    row's last kept run.  The candidate jumps by the largest deficit, or
+    hits up to the nearest right end and then skips the miss after it."""
     skel = generate_skeleton(se)
     kept = defaultdict(list)
     for lx, rx, y in x.array.tolist():
         if rx - lx + 1 >= skel.l_min:
             kept[y].append((rx, lx))
-    band = skel.entries[skel.band, 1].tolist()
-    jumps, hits, probes, trimmed = [], [], 0, 0
+    probed = skel.entries[:, 1].tolist()
+    jumps, hits, probes, trimmed = [], [], 0, []
     for lx, rx0, y0 in x.array.tolist():
         cx = lx + skel.l_max - 1
-        if cx <= rx0 and not all(kept.get(y0 + sy) for sy in band):
-            trimmed += 1
+        if trim and cx <= rx0 and not all(kept.get(y0 + sy) for sy in probed):
+            trimmed.append((cx, rx0, y0))
             continue
         while cx <= rx0:
             probes += len(skel.entries)
@@ -727,7 +728,7 @@ class TestScanMatchesReference:
         out = erode(x, se, trace)
         jumps, hits, probes, trimmed = reference_scan(x, se)
         assert (trace.jumps.tolist(), trace.hits.tolist(), trace.probes, trace.trimmed) == \
-            ([list(j) for j in jumps], [list(h) for h in hits], probes, trimmed)
+            ([list(j) for j in jumps], [list(h) for h in hits], probes, len(trimmed))
         assert out == erode_naive(x, se)
 
     def test_random_and_blob_cases(self):
@@ -761,31 +762,32 @@ class TestScanMatchesReference:
         return img(*[run for y in ys for run in ((y, 9 + y, y), (12 + y, 20 + y, y))])
 
     @pytest.mark.parametrize("ys, se", [
-        # Row 2 lies between kept rows 1 and 3 and holds no run: from row 1
-        # the guess lands on row 3 and the search finds no row 2.
+        # Row 2 lies between kept rows 1 and 3 and holds no run, so the runs
+        # of row 1 are trimmed, as are those of the last kept row 4; the
+        # runs of rows 0 and 3 are scanned.
         pytest.param((0, 1, 3, 4), img((0, 0, 0), (0, 0, 1)), id="absent-between"),
-        # From row 0 the guess for row 2 lands on row 3; row 2 is found by
-        # the search.
-        pytest.param((0, 2, 3), img((0, 0, 0), (0, 0, 2)), id="present-off-guess"),
-        # Kept rows [..., 57, 58, 60]: from rows 58 and 60 guesses run past
-        # the last kept row, and row 59 is a gap that must stay a miss.
+        # The element's rows 0 and 2 are two blocks, each looked up on its
+        # own: from row 0 the probed row 2 is the very next kept row, and
+        # the runs of rows 2 and 3 are trimmed.
+        pytest.param((0, 2, 3), img((0, 0, 0), (0, 0, 2)), id="present-after-gap"),
+        # Kept rows [..., 57, 58, 60]: from rows 58 and 60 the element
+        # probes row 59, a gap, or row 61, past the last kept row.
         pytest.param((*range(50, 59), 60), img((0, 1, -1), (0, 1, 0), (0, 1, 1)),
                      id="past-last-row"),
-        # Kept rows [0, 2]: from row 0 the guess for row 2 runs past the
-        # last kept row, is clipped onto it and reads row 2, which the hits
-        # of row 0 need.
-        pytest.param((0, 2), img((0, 0, 0), (0, 0, 2)), id="clipped-onto-last-row"),
+        # Kept rows [0, 2]: from row 0 the probed row 2 is the last kept
+        # row, which the hits of row 0 need.
+        pytest.param((0, 2), img((0, 0, 0), (0, 0, 2)), id="onto-last-row"),
         # Entries above the anchor probe rows before the first kept row.
         pytest.param(range(10, 16), img((0, 0, 0), (0, 0, 1), (0, 4, 2)),
                      id="before-first-row"),
     ])
-    def test_row_guess_paths(self, ys, se):
+    def test_row_lookup_edges(self, ys, se):
         self.check(self.rows(*ys), se)
 
     # A column of height 6 over kept rows {0, 5}: anchored at the top, the
-    # band's last row lies past the last kept row; anchored at the bottom,
-    # its first row lies before the first kept row.  Index clipping would
-    # make rows 1-4 look present.
+    # element's last row lies past the last kept row; anchored at the
+    # bottom, its first row lies before the first kept row.  Index clipping
+    # would make rows 1-4 look present.
     COLUMN_TOP = img(*[(0, 0, y) for y in range(6)])
     COLUMN_BOTTOM = img(*[(0, 0, y) for y in range(5)], (-1, 0, 5))
 
@@ -793,14 +795,14 @@ class TestScanMatchesReference:
     @pytest.mark.parametrize("x, se, counts", [
         pytest.param(img((0, 9, 0), (0, 9, 5)), COLUMN_TOP, (2, 0), id="column-top"),
         pytest.param(img((0, 9, 0), (0, 9, 5)), COLUMN_BOTTOM, (2, 0), id="column-bottom"),
-        # Band rows {0, 1}, off-band row 4: the two runs of rows 1 and 5
-        # each lack a band row below them; from row 0 the guess for row 4
-        # reads row 5, so the off-band entry must be searched.
-        pytest.param(rows(0, 1, 3, 4, 5), img((0, 0, 0), (0, 0, 1), (0, 0, 4)), (4, 10),
+        # Blocks of rows {0, 1} and {4}: the runs of rows 1 and 5 lack the
+        # row below them, and those of rows 3 and 4 lack row 7 or 8; only
+        # the runs of row 0 probe kept rows 0, 1 and 4 alone.
+        pytest.param(rows(0, 1, 3, 4, 5), img((0, 0, 0), (0, 0, 1), (0, 0, 4)), (8, 6),
                      id="gap-below"),
-        # Band row {0}, off-band row -3: from row 6 the guess reads row 0
-        # and row 3 is found by the search.
-        pytest.param(rows(0, 3, 5, 6), img((0, 0, 0), (0, 1, 3)), (0, 12), id="gap-above"),
+        # Blocks of rows {-3} and {0}: only the runs of rows 3 and 6 find
+        # a kept row three rows above them.
+        pytest.param(rows(0, 3, 5, 6), img((0, 0, 0), (0, 1, 3)), (4, 8), id="gap-above"),
     ])
     def test_vertical_trim_paths(self, x, se, counts):
         self.check(x, se)
@@ -894,28 +896,28 @@ gapped_elements = st.builds(lambda g, blank, p: from_raster(_blank_rows(g, blank
 
 
 class TestVerticalTrim:
-    """An x_cut run is scanned only if every row of the element's band
-    holds kept runs; the others leave no event."""
+    """An x_cut run is scanned only if every row its element probes holds
+    kept runs; the others leave no event."""
 
     @settings(deadline=None)
     @given(banded_images, gapped_elements)
     def test_matches_naive_and_reference(self, x, se):
         TestScanMatchesReference.check(x, se)
         skel = generate_skeleton(se)
-        sy = skel.entries[:, 1].tolist()
-        lo = hi = 0
-        while lo - 1 in sy:
-            lo -= 1
-        while hi + 1 in sy:
-            hi += 1
-        assert [i for i, s in enumerate(sy) if lo <= s <= hi] == \
-            list(range(skel.band.start, skel.band.stop))
-        kept = {y for lx, rx, y in x.array.tolist() if rx - lx + 1 >= skel.l_min}
-        cut_rows = build_tables(x, skel).x_cut.array[:, 2].tolist()
-        trace = ErodeTrace()
-        erode(x, se, trace)
-        assert trace.trimmed == sum(any(y0 + s not in kept for s in range(lo, hi + 1))
-                                    for y0 in cut_rows)
+        # The blocks split the entries, in order, into maximal runs of
+        # rows without a gap.
+        sy, blocks = skel.entries[:, 1].tolist(), skel.blocks.tolist()
+        assert blocks[0] == 0 and blocks[-1] == len(sy)
+        assert all(lo < hi for lo, hi in zip(blocks, blocks[1:]))
+        assert all((sy[i] - sy[i - 1] > 1) == (i in blocks) for i in range(1, len(sy)))
+        # A trimmed run is the one jump out of its run that its first
+        # candidate makes untrimmed: a probe of a row without kept runs
+        # misses to the run's end.
+        jumps, hits, probes, trimmed = reference_scan(x, se)
+        jumps_all, hits_all, probes_all, _ = reference_scan(x, se, trim=False)
+        out = [(cx, y0, rx0 - cx + 1) for cx, rx0, y0 in trimmed]
+        assert sorted(jumps + out, key=lambda j: (j[1], j[0])) == jumps_all
+        assert (hits, probes + len(skel.entries) * len(trimmed)) == (hits_all, probes_all)
 
 
 class TestDilate:
