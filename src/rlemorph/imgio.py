@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import compress
 
 import numpy as np
 
@@ -131,95 +130,35 @@ def write_pbm(img: RleImage, meta: ImageFileMeta, variant: str = "P1") -> bytes:
     return header + packed.tobytes()
 
 
-def _char_kind(code: int) -> int:
-    """0 for a token character, 1 for whitespace as str.split sees it,
-    2 for whitespace that is also a line break as str.splitlines sees it."""
-    ch = chr(code)
-    if not ch.isspace():
-        return 0
-    return 2 if len(f"a{ch}b".splitlines()) == 2 else 1
+def read_rle_text(text: str) -> RleImage:
+    """Decode RLE text; runs may come in any order and may overlap or touch.
 
-
-_ASCII_KIND = np.array([_char_kind(c) for c in range(128)], dtype=np.uint8)
-
-
-def _text_runs(text: str) -> np.ndarray | None:
-    """The runs of RLE text as (lx, rx, y) rows in file order, or None if
-    some line is bad.  Reads the text as _line_runs does, on whole arrays:
-    tokens and line breaks are found from character classes.  A CR LF
-    pair counts as two breaks here, which only adds a blank line."""
-    code = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
-    kind = _ASCII_KIND.take(np.minimum(code, 127))  # 127 is not whitespace
-    wide = np.flatnonzero(code > 127)
-    if wide.size:
-        wide_codes, which = np.unique(code[wide], return_inverse=True)
-        kind[wide] = np.array([_char_kind(c) for c in wide_codes.tolist()], np.uint8)[which]
-    space = kind != 0
-    first = np.flatnonzero(~space & np.concatenate(([True], space[:-1])))
-    # Line k holds the tokens from bounds[k] to bounds[k + 1]; each line
-    # that has tokens is data, or a comment if its first token starts with #.
-    breaks = np.searchsorted(first, np.flatnonzero(kind == 2))
-    bounds = np.concatenate(([0], breaks, [len(first)]))
-    tokened = bounds[1:] > bounds[:-1]
-    head, count = bounds[:-1][tokened], np.diff(bounds)[tokened]
-    data = code[first[head]] != ord("#")
-    if (count[data] != 3).any():
-        return None
-    tokens = text.split()
-    if not data.all():
-        tokens = compress(tokens, np.repeat(data, count).tolist())
-    try:
-        # int() per token, as _line_runs; beyond int64 is beyond the bound
-        rows = np.fromiter(tokens, np.int64).reshape(-1, 3)
-    except (ValueError, OverflowError):
-        return None
-    # Given lx <= rx, a line is within the bound iff all its coordinates are.
-    if rows.size and (rows.min() < -COORD_LIMIT or rows.max() > COORD_LIMIT
-                      or (rows[:, 1] > rows[:, 2]).any()):
-        return None
-    return rows[:, [1, 2, 0]]
-
-
-def _line_runs(text: str) -> list[tuple[int, int, int]]:
-    """The runs of RLE text, line by line; raises RleTextParseError at the
-    first bad line.  This reading defines the format: lines as
-    str.splitlines gives them, numbered from 1; a line that is blank or
-    starts with '#' after stripping is skipped; every other line is three
-    int() tokens 'y lx rx' with lx <= rx, each within +-COORD_LIMIT."""
+    Lines are those str.splitlines gives, numbered from 1.  A line with no
+    tokens, or whose first token starts with '#', is skipped; every other
+    line is three int() tokens 'y lx rx' with lx <= rx, each within
+    +-COORD_LIMIT.  The first bad line raises RleTextParseError.
+    """
     runs = []
     for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
+        parts = line.split()
+        if not parts or parts[0].startswith("#"):
             continue
-        parts = stripped.split()
         if len(parts) != 3:
             raise RleTextParseError(f"expected 'y lx rx', got {line!r}", lineno)
         try:
-            y, lx, rx = (int(p) for p in parts)
+            y, lx, rx = map(int, parts)
         except ValueError:
             raise RleTextParseError(f"non-integer token in {line!r}", lineno) from None
         if lx > rx:
             raise RleTextParseError(f"lx > rx in {line!r}", lineno)
         if lx < -COORD_LIMIT or rx > COORD_LIMIT or abs(y) > COORD_LIMIT:
             raise RleTextParseError(f"coordinate beyond +-2**61 in {line!r}", lineno)
-        runs.append((lx, rx, y))
-    return runs
-
-
-def read_rle_text(text: str) -> RleImage:
-    """Decode RLE text; runs may come in any order and may overlap or touch.
-
-    The text is read on whole arrays; only when that reading refuses it,
-    which it does exactly when some line is bad, is it read again line by
-    line to name the first bad line.
-    """
-    runs = _text_runs(text)
-    if runs is None:
-        runs = _line_runs(text)
+        runs += lx, rx, y
+    a = np.array(runs, dtype=np.int64).reshape(-1, 3)
     try:
-        return RleImage(runs)
+        return RleImage(a)
     except ValueError:  # unsorted, overlapping or touching runs
-        return normalize(runs)
+        return normalize(a)
 
 
 def read_image(data: bytes) -> tuple[RleImage, ImageFileMeta | None]:
