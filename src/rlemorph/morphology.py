@@ -19,7 +19,7 @@ skeleton (jump on hit).  Dilation is erosion of the complement with the
 reflected element, restricted to two exact rectangles built where both
 boxes are centred on the origin.
 
-One scan, ``_scan``, serves traced and untraced erosion alike.  It moves
+One scan, in ``erode``, serves traced and untraced erosion alike.  It moves
 every ``x_cut`` run forward in lockstep with numpy: each round probes
 every skeleton entry of every unfinished run at once, and each run then
 jumps by its largest deficit and, where that jump lands on a position at
@@ -32,7 +32,7 @@ is deep enough, or past the row's last kept run to the end of the
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -41,6 +41,7 @@ from .rle import (
     Point,
     Rect,
     RleImage,
+    _as_runs,
     bounding_rect,
     complement_within,
     reflect,
@@ -50,8 +51,8 @@ from .rle import (
 # What runs the scan: numpy array operations driven from Python.
 BACKEND = "python"
 
-# The scan holds (entry x run) arrays of at most this many cells at once,
-# taking x_cut's runs in chunks, so its memory stays bounded by the runs.
+# The scan takes x_cut's runs in chunks whose (entry x run) arrays hold at
+# most this many cells; the trim's (block x run) arrays span all of x_cut.
 _CHUNK_CELLS = 1 << 18
 
 
@@ -186,43 +187,11 @@ def build_tables(x: RleImage, skel: SkeletonTable) -> ErosionTables:
 
 
 def erode_check_at(tables: ErosionTables, h: Point) -> bool:
-    """True iff the anchored element of the tables' skeleton fits at h: the
-    scan run on h alone hits.  Probes off every kept run read as 0."""
-    return len(_scan(replace(tables, x_cut=RleImage([(h.x, h.x, h.y)])), None)) == 1
-
-
-def _scan(tables: ErosionTables, trace: ErodeTrace | None) -> np.ndarray:
-    """Jump scan of x_cut.  Returns the eroded runs in the anchored frame as
-    (lx, rx, y) rows and adds the scan's counts and events to trace.
-
-    First the vertical trim: a run at y0 is scanned only if every row y0 + sy
-    its skeleton probes holds kept runs.  For a block with first and last
-    rows a and b, rows is strictly increasing, so with
-    r0 = rows.searchsorted(y0 + a) the rows y0 + a..y0 + b all do exactly
-    when rows[r0 + b - a] == y0 + b, read only where that index exists.  r0
-    holds one row of these indices per block.  Trimmed runs leave no event.
-    """
-    rows = tables.rows
-    if not len(tables.x_cut) or not len(rows):  # with no kept run nothing fits
-        return EMPTY.array
-    sy, blocks = tables.skel.entries[:, 1], tables.skel.blocks
-    a, b = sy[blocks[:-1]], sy[blocks[1:] - 1]
-    span = (b - a)[:, None]
-    cut = tables.x_cut.array.T.copy()
-    r0 = rows.searchsorted(np.add.outer(a, cut[2]))
-    full = ((r0 < len(rows) - span)
-            & (rows.take(r0 + span, mode="clip") == np.add.outer(b, cut[2]))).all(axis=0)
-    if not full.all():
-        cut, r0 = cut.compress(full, axis=1), r0.compress(full, axis=1)
-    step = max(1, _CHUNK_CELLS // len(sy))
-    chunks = (_scan_chunk(tables, cut[:, i:i + step], r0[:, i:i + step], trace)
-              for i in range(0, cut.shape[1], step))
-    runs = np.concatenate([EMPTY.array, *chunks])
-    if trace is not None:
-        lx, rx, y = runs.T
-        trace.trimmed += len(full) - cut.shape[1]
-        trace.hits = np.concatenate((trace.hits, np.column_stack((lx, y, rx - lx + 1))))
-    return runs
+    """True iff the anchored element fits at h: each skeleton entry (sx, sy, d)
+    has a left distance >= d at h + (sx, sy).  ValueError unless h is a pixel within +-2**61."""
+    hx, _, hy = _as_runs([(h.x, h.x, h.y)])[0].tolist()
+    return all(tables.distances(hx + sx, hy + sy)[0] >= d
+               for sx, sy, d in tables.skel.entries.tolist())
 
 
 def _scan_chunk(tables: ErosionTables, cut: np.ndarray, r0: np.ndarray,
@@ -311,10 +280,38 @@ def _lower_bound(a: np.ndarray, lo: np.ndarray, hi: np.ndarray, v: np.ndarray) -
 
 
 def erode(x: RleImage, se: RleImage, trace: ErodeTrace | None = None) -> RleImage:
-    """Exact erosion of x by an arbitrary non-empty structuring element."""
+    """Exact erosion of x by an arbitrary non-empty structuring element: the
+    jump scan of x_cut, which adds its counts and events to trace.  Every
+    x_cut run is at least l_max >= l_min long, so it is a kept run in a row
+    of rows.  The vertical trim scans a run at y0 only if every row y0 + sy
+    its skeleton probes holds kept runs.  For a block with first and last
+    rows a and b, rows is strictly increasing, so with
+    r0 = rows.searchsorted(y0 + a) the rows y0 + a..y0 + b all do exactly
+    when rows[r0 + b - a] == y0 + b, read only where that index exists.  r0
+    holds one row of these indices per block.  Trimmed runs leave no event."""
     skel = generate_skeleton(se)
+    tables = build_tables(x, skel)
+    if not len(tables.x_cut):  # with no x_cut run nothing fits
+        return EMPTY
+    rows, sy, blocks = tables.rows, skel.entries[:, 1], skel.blocks
+    a, b = sy[blocks[:-1]], sy[blocks[1:] - 1]
+    span = (b - a)[:, None]
+    cut = tables.x_cut.array.T.copy()
+    r0 = rows.searchsorted(np.add.outer(a, cut[2]))
+    full = ((r0 < len(rows) - span)
+            & (rows.take(r0 + span, mode="clip") == np.add.outer(b, cut[2]))).all(axis=0)
+    if not full.all():
+        cut, r0 = cut.compress(full, axis=1), r0.compress(full, axis=1)
+    step = max(1, _CHUNK_CELLS // len(sy))
+    chunks = (_scan_chunk(tables, cut[:, i:i + step], r0[:, i:i + step], trace)
+              for i in range(0, cut.shape[1], step))
+    runs = np.concatenate([EMPTY.array, *chunks])
+    if trace is not None:
+        lx, rx, y = runs.T
+        trace.trimmed += len(full) - cut.shape[1]
+        trace.hits = np.concatenate((trace.hits, np.column_stack((lx, y, rx - lx + 1))))
     q = skel.anchor_q
-    return RleImage._built(_scan(build_tables(x, skel), trace) - (q.x, q.x, q.y))
+    return RleImage._built(runs - (q.x, q.x, q.y))
 
 
 def dilate(x: RleImage, se: RleImage) -> RleImage:

@@ -602,6 +602,28 @@ class TestMemoryBoundedByRuns:
         assert peaks[1] <= 4 * peaks[0], peaks
 
 
+class TestCostLaws:
+    """Scan cost follows the runs, not the element: counted, not timed.  Each
+    law also checks the output, so that it cannot pass on a wrong answer."""
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="a k x k square has k skeleton entries, each probed at "
+                       "every candidate (766,186 probes for k = 101 against 39,611 "
+                       "for k = 11); ROADMAP open item 7 erodes by a chain of "
+                       "two-point columns")
+    def test_element_height(self):
+        # The complement dilate builds for the blob image, eroded by squares.
+        x = blob_image(1024, 1024, seed=1)
+        probes = {}
+        for k in (11, 101):
+            comp = complement_within(x, bounding_rect(x).grown(k - 1, k - 1))
+            trace = ErodeTrace()
+            if erode(comp, square_se(k), trace) != erode_runs(comp, square_se(k)):
+                pytest.fail(f"erosion by square {k} differs from erode_runs")
+            probes[k] = trace.probes
+        assert probes[101] <= 4 * probes[11], probes
+
+
 class TestScanBoundedByRuns:
     """The scan's events follow the runs, not the pixels or the box."""
 
@@ -878,6 +900,17 @@ class TestErodeCheckAt:
                     (h.x + p.x, h.y + p.y) in kept for p in anchored.pixels()
                 )
                 assert erode_check_at(tables, h) == fits
+
+    @pytest.mark.parametrize("h, message", [
+        (Point(0.5, 0), "run Run(lx=0.5, rx=0.5, y=0) has a non-integer coordinate"),
+        (Point(2**61 + 1, 0), f"run Run(lx={2**61 + 1}, rx={2**61 + 1}, y=0) has a "
+                              "coordinate beyond +-2**61"),
+    ])
+    def test_bad_point_refused(self, h, message):
+        tables = build_tables(SOLID_5, generate_skeleton(img((0, 0, 0))))
+        with pytest.raises(ValueError) as refused:
+            erode_check_at(tables, h)
+        assert str(refused.value) == message
 
 
 def _blank_rows(grid, blank):
