@@ -9,15 +9,15 @@ pixel: inside a run the distances to its two ends follow from the run's
 that have kept runs, and cost O(runs) whatever the size of the image's
 bounding box.  The input is trimmed three ways: runs shorter than the
 element's shortest run leave the tables, runs shorter than its longest
-run leave ``x_cut``, and, once per erosion before the scan, an ``x_cut``
-run is dropped unless every row its element probes holds kept runs, so
-each probed row of a scanned run is found from the run's row alone.  A
-failed probe with deficit k lets the scan jump k candidates to the right,
-never past the end of the ``x_cut`` run (jump on miss); a successful probe
-yields the full eroded run from the minimum right distance over the
-skeleton (jump on hit).  Dilation is erosion of the complement with the
-reflected element, restricted to two exact rectangles built where both
-boxes are centred on the origin.
+run leave ``x_cut``, and, in each chunk of the scan before its first
+round, an ``x_cut`` run is dropped unless every row its element probes
+holds kept runs, so each probed row of a scanned run is found from the
+run's row alone.  A failed probe with deficit k lets the scan jump k
+candidates to the right, never past the end of the ``x_cut`` run (jump
+on miss); a successful probe yields the full eroded run from the
+minimum right distance over the skeleton (jump on hit).  Dilation is
+erosion of the complement with the reflected element, restricted to two
+exact rectangles built where both boxes are centred on the origin.
 
 One scan, in ``erode``, serves traced and untraced erosion alike.  It moves
 every ``x_cut`` run forward in lockstep with numpy: each round probes
@@ -52,7 +52,7 @@ from .rle import (
 BACKEND = "python"
 
 # The scan takes x_cut's runs in chunks whose (entry x run) arrays hold at
-# most this many cells; the trim's (block x run) arrays span all of x_cut.
+# most this many cells.
 _CHUNK_CELLS = 1 << 18
 
 
@@ -132,8 +132,8 @@ class ErodeTrace:
     # Lockstep rounds of the scan, summed over its chunks; a round moves
     # every unfinished x_cut run of its chunk by a jump, a hit or both.
     rounds: int = 0
-    # x_cut runs the vertical trim dropped before the scan: a row the
-    # element probes holds no kept run, so none of their positions can hit.
+    # x_cut runs the vertical trim dropped, each chunk before its first
+    # round: a row the element probes holds no kept run, so none can hit.
     trimmed: int = 0
     # (x, y, k): the candidate at (x, y) missed, k its largest deficit over
     # the entries, cut at the end of its x_cut run; (x..x+k-1, y) skipped.
@@ -194,13 +194,17 @@ def erode_check_at(tables: ErosionTables, h: Point) -> bool:
                for sx, sy, d in tables.skel.entries.tolist())
 
 
-def _scan_chunk(tables: ErosionTables, cut: np.ndarray, r0: np.ndarray,
-                trace: ErodeTrace | None) -> np.ndarray:
-    """Scan some x_cut runs, given as the rows lx, rx and y of cut, in
-    lockstep; returns their hits in (y, x) order.  Every row these runs
-    probe holds kept runs.  From run j the first row a of block i is
-    rows[r0[i, j]], and the block's rows follow without a gap, so an entry
-    of it probes rows[r0[i, j] + sy - a].
+def _scan_chunk(tables: ErosionTables, cut: np.ndarray, trace: ErodeTrace | None) -> np.ndarray:
+    """Trim and scan some x_cut runs, given as the rows lx, rx and y of cut,
+    in lockstep; returns their hits in (y, x) order.  Every x_cut run is
+    at least l_max >= l_min long, so it is a kept run in a row of rows.
+    The vertical trim scans a run at y0 only if every row y0 + sy its
+    skeleton probes holds kept runs.  For a block with first and last rows
+    a and b, rows is strictly increasing, so with
+    r0 = rows.searchsorted(y0 + a) the rows y0 + a..y0 + b all do exactly
+    when rows[r0 + b - a] == y0 + b, read only where that index exists.  r0
+    holds one row of these indices per block, and an entry of block i
+    probes rows[r0[i, j] + sy - a] from run j.  Trimmed runs leave no event.
 
     Every per-cell array is entry-major, (entries, runs), so reductions
     over a run's entries run along axis 0 and finished runs drop out along
@@ -225,17 +229,24 @@ def _scan_chunk(tables: ErosionTables, cut: np.ndarray, r0: np.ndarray,
     records every jump cut at rx0 - x + 1, the positions left in its run,
     since a jump past the run's end ends the run either way.
     """
-    left, right, blocks = tables.left, tables.right, tables.skel.blocks.tolist()
+    left, right, rows, blocks = tables.left, tables.right, tables.rows, tables.skel.blocks
     sx, sy, depth = tables.skel.entries.T
-    x, rx0, y0 = cut
+    a, b = sy[blocks[:-1]], sy[blocks[1:] - 1]
+    span = (b - a)[:, None]
+    r0 = rows.searchsorted(np.add.outer(a, cut[2]))
+    full = ((r0 < len(rows) - span)
+            & (rows.take(r0 + span, mode="clip") == np.add.outer(b, cut[2]))).all(axis=0)
+    x, rx0, y0 = cut.compress(full, axis=1)
+    r0 = r0.compress(full, axis=1)
     run = np.arange(len(x))
     # c holds each cell's row index first, then that row's first kept run.
     c = np.empty((len(sy), len(x)), dtype=np.int64)
     for i, (lo, hi) in enumerate(zip(blocks, blocks[1:])):
-        np.add.outer(sy[lo:hi] - sy[lo], r0[i], out=c[lo:hi])
+        np.add.outer(sy[lo:hi] - a[i], r0[i], out=c[lo:hi])
     c, e = tables.row_ptr[:-1].take(c), tables.row_ptr[1:].take(c)
     sx, d1 = sx[:, None], (depth - 1)[:, None]
-    hits, jumps, n_round = [np.empty((4, 0), dtype=np.int64)], [], 0
+    no_events = np.empty((4, 0), dtype=np.int64)
+    hits, jumps, n_round = [no_events], [no_events], 0
     while len(x):
         n_round += 1
         px = x + sx
@@ -263,6 +274,7 @@ def _scan_chunk(tables: ErosionTables, cut: np.ndarray, r0: np.ndarray,
     if trace is not None:
         jumps = np.concatenate(jumps, axis=1)
         trace.probes += len(sx) * (jumps.shape[1] + hits.shape[1])
+        trace.trimmed += len(full) - int(full.sum())
         trace.rounds += n_round
         trace.jumps = np.concatenate((trace.jumps, jumps[1:, jumps[0].argsort(kind="stable")].T))
     return hits[1:, np.argsort(hits[0], kind="stable")].T
@@ -281,34 +293,18 @@ def _lower_bound(a: np.ndarray, lo: np.ndarray, hi: np.ndarray, v: np.ndarray) -
 
 def erode(x: RleImage, se: RleImage, trace: ErodeTrace | None = None) -> RleImage:
     """Exact erosion of x by an arbitrary non-empty structuring element: the
-    jump scan of x_cut, which adds its counts and events to trace.  Every
-    x_cut run is at least l_max >= l_min long, so it is a kept run in a row
-    of rows.  The vertical trim scans a run at y0 only if every row y0 + sy
-    its skeleton probes holds kept runs.  For a block with first and last
-    rows a and b, rows is strictly increasing, so with
-    r0 = rows.searchsorted(y0 + a) the rows y0 + a..y0 + b all do exactly
-    when rows[r0 + b - a] == y0 + b, read only where that index exists.  r0
-    holds one row of these indices per block.  Trimmed runs leave no event."""
+    trim and jump scan of x_cut, one chunk of runs at a time, which add
+    their counts and events to trace."""
     skel = generate_skeleton(se)
     tables = build_tables(x, skel)
-    if not len(tables.x_cut):  # with no x_cut run nothing fits
+    cut = tables.x_cut.array
+    if not len(cut):  # with no x_cut run nothing fits
         return EMPTY
-    rows, sy, blocks = tables.rows, skel.entries[:, 1], skel.blocks
-    a, b = sy[blocks[:-1]], sy[blocks[1:] - 1]
-    span = (b - a)[:, None]
-    cut = tables.x_cut.array.T.copy()
-    r0 = rows.searchsorted(np.add.outer(a, cut[2]))
-    full = ((r0 < len(rows) - span)
-            & (rows.take(r0 + span, mode="clip") == np.add.outer(b, cut[2]))).all(axis=0)
-    if not full.all():
-        cut, r0 = cut.compress(full, axis=1), r0.compress(full, axis=1)
-    step = max(1, _CHUNK_CELLS // len(sy))
-    chunks = (_scan_chunk(tables, cut[:, i:i + step], r0[:, i:i + step], trace)
-              for i in range(0, cut.shape[1], step))
+    step = max(1, _CHUNK_CELLS // len(skel.entries))
+    chunks = (_scan_chunk(tables, cut[i:i + step].T, trace) for i in range(0, len(cut), step))
     runs = np.concatenate([EMPTY.array, *chunks])
     if trace is not None:
         lx, rx, y = runs.T
-        trace.trimmed += len(full) - cut.shape[1]
         trace.hits = np.concatenate((trace.hits, np.column_stack((lx, y, rx - lx + 1))))
     q = skel.anchor_q
     return RleImage._built(runs - (q.x, q.x, q.y))

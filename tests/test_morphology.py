@@ -582,6 +582,25 @@ class TestMemoryBoundedByRuns:
             tracemalloc.stop()
         assert peak < 50 * 2**20
 
+    def test_trim_peak_bounded_by_chunk(self):
+        # A comb of 64 pixels two rows apart has 64 row blocks.  The
+        # vertical trim's (block x run) arrays are built chunk by chunk, so
+        # 63,102 x_cut runs (density 0.6) peak like 23,805 (density 0.9).
+        se = img(*[(0, 0, 2 * i) for i in range(64)])
+        peaks = []
+        for density in (0.9, 0.6):
+            x = random_image(512, 512, density, seed=0)
+            tracemalloc.start()
+            try:
+                out = erode(x, se)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            if out != erode_naive(x, se):
+                pytest.fail(f"erosion at density {density} differs from erode_naive")
+            peaks.append(peak)
+        assert peaks[1] <= 1.5 * peaks[0], peaks
+
     @pytest.mark.xfail(strict=True, reason="dilate complements every row of the grown "
                        "bounding box; ROADMAP open item 2 complements only the rows "
                        "the element reaches")
@@ -831,6 +850,15 @@ class TestScanMatchesReference:
         trace = ErodeTrace()
         erode(x, se, trace)
         assert (trace.trimmed, trace.candidates) == counts
+
+    def test_chunk_of_trimmed_runs(self, monkeypatch):
+        # One run per chunk: each chunk trims its only run and scans none.
+        x, se = img((0, 9, 0), (0, 9, 5)), self.COLUMN_TOP
+        monkeypatch.setattr(morphology, "_CHUNK_CELLS", len(generate_skeleton(se).entries))
+        self.check(x, se)
+        trace = ErodeTrace()
+        erode(x, se, trace)
+        assert (trace.trimmed, trace.candidates) == (2, 0)
 
 
 class TestErodeCheckAt:
