@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rle import COORD_LIMIT, Rect, RleImage, _paint, from_raster, normalize
+from .rle import COORD_LIMIT, Rect, RleImage, _bit_runs, _packed, _paint, from_raster, normalize
 
 
 @dataclass(frozen=True)
@@ -68,7 +68,7 @@ def _p1_bits(data: bytes, pos: int, width: int, height: int) -> np.ndarray:
     pixels, and any other byte is an error only before the last of them.
     """
     payload = _COMMENT.sub(lambda m: b" " * len(m[0]), data[pos:])
-    kind = _P1_KIND[np.frombuffer(payload, dtype=np.uint8)]
+    kind = _P1_KIND.take(np.frombuffer(payload, dtype=np.uint8))
     digits = np.flatnonzero(kind >= 2)
     need = width * height
     end = digits[need - 1] + 1 if len(digits) >= need else len(kind)
@@ -90,21 +90,19 @@ def read_pbm(data: bytes) -> tuple[RleImage, ImageFileMeta]:
     if width < 1 or height < 1:
         raise PbmParseError(f"bad dimensions {width}x{height}", pos)
     if data[:2] == b"P1":
-        bits = _p1_bits(data, pos, width, height)
-    else:
-        pos = _P4_COMMENTS.match(data, pos).end()
-        if pos >= len(data):
-            raise PbmParseError("truncated P4 header", pos)
-        if data[pos] not in _WS:
-            raise PbmParseError("expected whitespace before the P4 raster", pos)
-        pos += 1
-        row_bytes = (width + 7) // 8
-        need = row_bytes * height
-        if len(data) - pos < need:
-            raise PbmParseError("truncated P4 payload", len(data))
-        raw = np.frombuffer(data[pos : pos + need], dtype=np.uint8)
-        bits = np.unpackbits(raw.reshape(height, row_bytes), axis=1)[:, :width]
-    return from_raster(bits), ImageFileMeta(width, height)
+        return from_raster(_p1_bits(data, pos, width, height)), ImageFileMeta(width, height)
+    pos = _P4_COMMENTS.match(data, pos).end()
+    if pos >= len(data):
+        raise PbmParseError("truncated P4 header", pos)
+    if data[pos] not in _WS:
+        raise PbmParseError("expected whitespace before the P4 raster", pos)
+    pos += 1
+    row_bytes = (width + 7) // 8
+    need = row_bytes * height
+    if len(data) - pos < need:
+        raise PbmParseError("truncated P4 payload", len(data))
+    raw = np.frombuffer(data, dtype=np.uint8, count=need, offset=pos)
+    return RleImage._built(_bit_runs(raw.reshape(height, row_bytes), width)), ImageFileMeta(width, height)
 
 
 def write_pbm(img: RleImage, meta: ImageFileMeta, variant: str = "P1") -> bytes:
@@ -117,17 +115,18 @@ def write_pbm(img: RleImage, meta: ImageFileMeta, variant: str = "P1") -> bytes:
             f"run {tuple(img.array[bad[0]].tolist())} outside the "
             f"{meta.width}x{meta.height} canvas at (0, 0)"
         )
-    grid = _paint(img, Rect(0, meta.width - 1, 0, meta.height - 1))
+    rect = Rect(0, meta.width - 1, 0, meta.height - 1)
     header = f"{variant}\n{meta.width} {meta.height}\n".encode()
     if variant == "P1":
         # Each pixel is a digit and a separator: a space, or a newline at
         # the end of the row.
         body = np.full((meta.height, 2 * meta.width), ord(" "), dtype=np.uint8)
-        body[:, 0::2] = grid.view(np.uint8) + ord("0")
+        body[:, 0::2] = _paint(img, rect).view(np.uint8) + ord("0")
         body[:, -1] = ord("\n")
-        return header + body.tobytes()
-    packed = np.packbits(grid, axis=1)
-    return header + packed.tobytes()
+    else:
+        body = _packed(img, rect)
+    # One copy of the body, into the result.
+    return b"".join((header, body))
 
 
 def read_rle_text(text: str) -> RleImage:

@@ -235,10 +235,59 @@ def normalize(runs: Iterable[tuple[int, int, int]] | np.ndarray) -> RleImage:
     return _cover(_as_runs(runs), 1)
 
 
-# from_raster pads and scans the grid in blocks of whole rows of about this
-# many cells, so that it never copies the whole grid and its temporaries stay
-# in cache.
-_RASTER_BLOCK_CELLS = 1 << 18
+# The codec's loops take blocks of whole rows whose largest temporary, one
+# bool per pixel or one 64-bit word per 64 pixels, holds about this many
+# bytes, so that the temporaries stay in cache and no pass copies a whole
+# grid or payload.
+_BLOCK_BYTES = 1 << 18
+
+
+def _bit_runs(packed: np.ndarray, width: int, top: int = 0) -> np.ndarray:
+    """The runs (lx, rx, y), in compact order, of the pixels x < width of
+    the bit rows packed[j], the ceil(width / 8) MSB-first bytes of row
+    y = top + j.  Bits at x >= width are ignored.
+
+    Each row is copied into big-endian 64-bit words followed by at least
+    one zero byte, so that its last run ends inside them.  Bit x of a row
+    differs from bit x - 1 (0 before the row) where the word w holding it
+    has a 1 in w ^ (w >> 1) ^ (previous word << 63).  Only the bytes of the
+    words that hold such an edge are looked at, and only their nonzero
+    bytes are unpacked; the edges, in row order, pair up as (run start,
+    end + 1).  Cost: O(payload words + runs).
+    """
+    h, row_bytes = packed.shape
+    words = (width + 7) // 64 + 1
+    rows = max(1, _BLOCK_BYTES // (8 * words))
+    buf = np.zeros((min(rows, h), 8 * words), dtype=np.uint8)
+    pad = 8 * row_bytes - width
+    runs = [np.empty((0, 3), dtype=np.int64)]
+    for t in range(0, h, rows):
+        block = buf[: min(rows, h - t)]
+        block[:, :row_bytes] = packed[t : t + rows]
+        if pad:
+            block[:, row_bytes - 1] &= 0xFF << pad & 0xFF
+        w = block.view(">u8").astype(np.uint64)
+        e = w >> 1
+        e ^= w
+        w <<= 63
+        e[:, 1:] ^= w[:, :-1]
+        e = e.reshape(-1)
+        nz = np.flatnonzero(e != 0)
+        eb = e[nz].astype(">u8").view(np.uint8)
+        nb = np.flatnonzero(eb != 0)
+        # Byte nb[k] is byte nb[k] & 7 of word nz[nb[k] >> 3]; the bit i of
+        # the unpacked bytes lies in byte i >> 3, at x = i + d[i >> 3].
+        y, col = np.divmod(nz[nb >> 3], words)
+        d = col * 64 + (nb & 7) * 8 - np.arange(0, 8 * len(nb), 8)
+        bit = np.flatnonzero(np.unpackbits(eb[nb]).view(bool))
+        start, end = bit[0::2], bit[1::2]
+        i = start >> 3
+        out = np.empty((len(i), 3), dtype=np.int64)
+        np.add(start, d[i], out=out[:, 0])
+        np.add(end, d[end >> 3] - 1, out=out[:, 1])
+        np.add(y[i], top + t, out=out[:, 2])
+        runs.append(out)
+    return runs[1] if len(runs) == 2 else np.concatenate(runs)
 
 
 def from_raster(grid, origin: Point = Point(0, 0)) -> RleImage:
@@ -251,42 +300,47 @@ def from_raster(grid, origin: Point = Point(0, 0)) -> RleImage:
     g = np.asarray(grid)
     if g.ndim != 2:
         raise ValueError(f"grid must be 2-D, got shape {g.shape}")
-    # Each row padded by a background cell on both sides, read as one flat
-    # sequence: the changes pair up as (run start, run end), in run order.
-    # Assigning into the padded rows casts to bool without another copy.
+    # Blocks of rows are packed to bits and decoded as a bitmap's rows are.
     h, w = g.shape
-    rows = max(1, _RASTER_BLOCK_CELLS // (w + 2))
-    edges = [np.empty(0, dtype=np.intp)]
+    rows = max(1, _BLOCK_BYTES // max(w, 1))
+    runs = [np.empty((0, 3), dtype=np.int64)]
     for top in range(0, h, rows):
         block = g[top : top + rows]
-        padded = np.zeros((len(block), w + 2), dtype=bool)
-        padded[:, 1:-1] = block
-        flat = padded.reshape(-1)
-        edges.append(np.flatnonzero(flat[1:] != flat[:-1]) + top * (w + 2))
-    # A start edge i lies just before the run's first cell, which is at grid
-    # column i mod (w + 2); the end edge lies on its last cell, so the run is
-    # end - start cells long.
-    edge = np.concatenate(edges)
-    ox, oy = _offset(origin, edge.size > 0)
-    if not edge.size:
-        return EMPTY
-    start, end = edge[0::2], edge[1::2]
-    y = start // (w + 2)
-    lx = start - y * (w + 2) + ox
-    return RleImage._built(np.column_stack((lx, lx + (end - start - 1), y + oy)))
+        runs.append(_bit_runs(np.packbits(block if block.dtype == bool else block != 0, axis=1),
+                              w, top))
+    return translate(RleImage._built(runs[1] if len(runs) == 2 else np.concatenate(runs)), origin)
+
+
+def _packed(img: RleImage, rect: Rect) -> np.ndarray:
+    """The (rect.height, ceil(rect.width / 8)) bytes of img's pixels as
+    MSB-first bit rows, padded with zero bits; the runs must lie inside
+    rect.  Cost: O(runs + foreground bytes) plus the zeroed output.
+
+    A run from x0 to x1 sets 0xFF >> (x0 & 7) in its first byte and every
+    bit of the bytes after it up to its last byte, less 0xFF >> ((x1 & 7)
+    + 1) there.  Runs are disjoint, so the parts that fall into one byte
+    are too, and XOR adds them up.
+    """
+    row_bytes = (rect.width + 7) // 8
+    out = np.zeros((rect.height, row_bytes), dtype=np.uint8)
+    lx, rx, y = img.array.T
+    base = (y - rect.t) * row_bytes
+    x0, x1 = lx - rect.l, rx - rect.l
+    first, last = base + (x0 >> 3), base + (x1 >> 3)
+    # The k-th filled byte in run order lies k - (filled bytes of earlier
+    # runs) bytes after its run's first byte.
+    n = last - first
+    flat = out.reshape(-1)
+    flat[np.repeat(first + 1 - np.cumsum(n) + n, n) + np.arange(n.sum())] = 0xFF
+    np.bitwise_xor.at(flat, first, (0xFF >> (x0 & 7)).astype(np.uint8))
+    np.bitwise_xor.at(flat, last, (0xFF >> (x1 & 7) + 1).astype(np.uint8))
+    return out
 
 
 def _paint(img: RleImage, rect: Rect) -> np.ndarray:
     """The (rect.height, rect.width) boolean grid of img, whose runs must
     lie inside rect."""
-    lx, rx, y = img.array.T
-    n = rx - lx + 1
-    # The k-th pixel in run order lies k - (pixels of earlier runs) cells
-    # after the first cell of its run.
-    first = (y - rect.t) * rect.width + lx - rect.l
-    grid = np.zeros((rect.height, rect.width), dtype=bool)
-    grid.reshape(-1)[np.repeat(first - np.cumsum(n) + n, n) + np.arange(n.sum())] = True
-    return grid
+    return np.unpackbits(_packed(img, rect), axis=1, count=rect.width).view(bool)
 
 
 def to_raster(img: RleImage) -> tuple[np.ndarray, Point]:
@@ -302,7 +356,7 @@ def translate(img: RleImage, v: Point) -> RleImage:
     """{p + v : p in img}; v must be a pair of integers, within +-2**62
     unless img is empty."""
     vx, vy = _offset(v, not img.is_empty)
-    if img.is_empty:
+    if img.is_empty or vx == vy == 0:
         return img
     return RleImage._built(img.array + np.array((vx, vx, vy), dtype=np.int64))
 

@@ -1,8 +1,11 @@
 """PBM (P1/P4) and RLE-text codecs."""
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from rlemorph.imgio import (
     ImageFileMeta,
@@ -15,10 +18,10 @@ from rlemorph.imgio import (
     write_pbm,
     write_rle_text,
 )
-from rlemorph.generate import random_image
-from rlemorph.rle import COORD_LIMIT, EMPTY, from_raster, normalize
+from rlemorph.generate import blob_image, random_image
+from rlemorph.rle import COORD_LIMIT, EMPTY, Point, bounding_rect, from_raster, normalize, translate
 
-from helpers import img, random_rle_image
+from helpers import images, img, random_rle_image
 
 
 class TestReadPbm:
@@ -149,6 +152,78 @@ class TestWritePbm:
             assert p1 == image
             assert p4 == image
             assert p1 == p4
+
+
+# Widths on both sides of byte and 64-bit word boundaries.
+_WIDTHS = [1, 7, 8, 9, 63, 64, 65, 127, 128, 129]
+
+
+@st.composite
+def bitmaps(draw):
+    """A grid whose rows flip between background and foreground at drawn
+    columns, mostly next to byte boundaries; some rows are full."""
+    width = draw(st.sampled_from(_WIDTHS))
+    near = sorted({v for b in range(0, width + 8, 8) for v in (b - 1, b, b + 1) if 0 <= v <= width})
+    flips = st.lists(st.one_of(st.sampled_from(near), st.integers(0, width)), max_size=8)
+    rows = draw(st.lists(st.one_of(st.just([0]), flips), min_size=1, max_size=4))
+    grid = np.zeros((len(rows), width), dtype=bool)
+    for row, cols in zip(grid, rows):
+        for x in cols:
+            row[x:] ^= True
+    return grid
+
+
+class TestPbmBits:
+    """Both codecs against a reference built pixel by pixel."""
+
+    @given(bitmaps())
+    def test_round_trip_at_byte_and_word_edges(self, grid):
+        height, width = grid.shape
+        image = normalize([(x, x, y) for y, x in np.argwhere(grid).tolist()])
+        meta = ImageFileMeta(width, height)
+        header = f"P4\n{width} {height}\n".encode()
+        p4 = header + np.packbits(grid, axis=1).tobytes()
+        body = "\n".join(" ".join("1" if v else "0" for v in row) for row in grid)
+        p1 = f"P1\n{width} {height}\n{body}\n".encode()
+        assert write_pbm(image, meta, "P4") == p4
+        assert write_pbm(image, meta, "P1") == p1
+        assert read_pbm(p4) == (image, meta)
+        assert read_pbm(p1) == (image, meta)
+        # Padding bits set to 1 read as 0.
+        padded = np.packbits(grid, axis=1)
+        padded[:, -1] |= 0xFF >> (width - 8 * (padded.shape[1] - 1))
+        assert read_pbm(header + padded.tobytes()) == (image, meta)
+
+    @given(images)
+    def test_p4_payload_is_packed_pixel_grid(self, a):
+        assume(not a.is_empty)
+        rect = bounding_rect(a)
+        a = translate(a, Point(-rect.l, -rect.t))
+        grid = np.zeros((rect.height, rect.width), dtype=bool)
+        for p in a.pixels():
+            grid[p.y, p.x] = True
+        data = write_pbm(a, ImageFileMeta(rect.width, rect.height), "P4")
+        assert data.endswith(np.packbits(grid, axis=1).tobytes())
+
+
+def _peak_bytes(f):
+    tracemalloc.start()
+    try:
+        f()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_p4_codec_memory_follows_payload():
+    # The decoder works a block of rows at a time and the encoder paints
+    # the payload itself, so neither holds a grid of one byte per pixel.
+    image = blob_image(4096, 4096, seed=1)
+    meta = ImageFileMeta(4096, 4096)
+    data = write_pbm(image, meta, "P4")
+    payload = 4096 * 4096 // 8
+    assert _peak_bytes(lambda: read_pbm(data)) < 2.5 * payload
+    assert _peak_bytes(lambda: write_pbm(image, meta, "P4")) < 2.5 * payload
 
 
 class TestRleText:

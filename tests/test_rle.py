@@ -3,12 +3,14 @@ import copy
 import pickle
 import random
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from rlemorph.generate import blob_image
 from rlemorph.rle import (
     EMPTY,
     Point,
@@ -196,6 +198,19 @@ class TestRaster:
     def test_round_trip(self, a):
         assert from_raster(*to_raster(a)) == a
 
+    @given(images)
+    def test_to_raster_matches_pixels(self, a):
+        # The oracles read images through to_raster, so it is checked
+        # against a grid set pixel by pixel.
+        assume(not a.is_empty)
+        grid, off = to_raster(a)
+        rect = bounding_rect(a)
+        expected = np.zeros((rect.height, rect.width), dtype=bool)
+        for p in a.pixels():
+            expected[p.y - off.y, p.x - off.x] = True
+        assert off == Point(rect.l, rect.t)
+        assert grid.dtype == bool and np.array_equal(grid, expected)
+
 
 def raster_by_pixel(grid, origin: Point) -> RleImage:
     """Reference for from_raster: one run per nonzero cell, merged by
@@ -242,6 +257,22 @@ class TestFromRaster:
         grid[:, [0, -1]] = True
         assert from_raster(grid, Point(-3, 5)) == raster_by_pixel(grid, Point(-3, 5))
         assert from_raster(grid[::-1].T) == raster_by_pixel(grid[::-1].T, Point(0, 0))
+
+    def test_memory_bounded_by_blocks(self):
+        # A 2048 x 2048 grid is packed and decoded a block of rows at a
+        # time, so the peak stays under a fifth of the grid's 4 MiB.
+        blobs = blob_image(2048, 2048, seed=1)
+        grid = np.zeros((2048, 2048), dtype=bool)
+        cells, off = to_raster(blobs)
+        grid[off.y : off.y + cells.shape[0], off.x : off.x + cells.shape[1]] = cells
+        tracemalloc.start()
+        try:
+            image = from_raster(grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert image == blobs
+        assert peak < 0.75 * 2**20, peak
 
     @pytest.mark.parametrize("grid", [[True, False, True], np.zeros((2, 2, 2)), True])
     def test_rejects_non_2d(self, grid):
