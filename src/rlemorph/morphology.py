@@ -9,26 +9,25 @@ pixel: inside a run the distances to its two ends follow from the run's
 that have kept runs, and cost O(runs) whatever the size of the image's
 bounding box.  The input is trimmed three ways: runs shorter than the
 element's shortest run leave the tables, runs shorter than its longest
-run leave ``x_cut``, and, in each chunk of the scan before its first
-round, an ``x_cut`` run is dropped unless every row its element probes
-holds kept runs, so each probed row of a scanned run is found from the
-run's row alone.  A failed probe with deficit k lets the scan jump k
-candidates to the right, never past the end of the ``x_cut`` run (jump
-on miss); a successful probe yields the full eroded run from the
-minimum right distance over the skeleton (jump on hit).  Dilation is
-erosion of the complement with the reflected element, restricted to two
-exact rectangles built where both boxes are centred on the origin.
+run leave ``x_cut``, and, as the scan admits it, an ``x_cut`` run is
+dropped unless every row its element probes holds kept runs, so each
+probed row of a scanned run is found from the run's row alone.  A failed
+probe with deficit k lets the scan jump k candidates to the right, never
+past the end of the ``x_cut`` run (jump on miss); a successful probe
+yields the full eroded run from the minimum right distance over the
+skeleton (jump on hit).  Dilation is erosion of the complement with the
+reflected element, restricted to two exact rectangles built where both
+boxes are centred on the origin.
 
 One scan, in ``erode``, serves traced and untraced erosion alike.  It moves
-every ``x_cut`` run forward in lockstep with numpy: each round probes
-every skeleton entry of every unfinished run at once, and each run then
-jumps by its largest deficit and, where that jump lands on a position at
-which no entry misses, emits the hit there in the same round.  The
-per-probe arrays are entry-major, (entries, runs), so a reduction over
-each run's entries combines whole contiguous rows of runs, not short rows
-of entries.  A probe in a gap misses until the next kept run of its row
-is deep enough, or past the row's last kept run to the end of the
-``x_cut`` run, so a gap costs one probe, not one per pixel.
+the ``x_cut`` runs forward in lockstep with numpy, at least one and as many
+at once as keep each per-probe array within ``rle._BLOCK_BYTES``, the
+codec's budget: each round probes every skeleton entry of every live run,
+and each run then jumps by its largest deficit and, where that jump lands
+on a position at which no entry misses, emits the hit there in the same
+round.  A probe in a gap misses until the next kept run of its row is
+deep enough, or past the row's last kept run to the end of the ``x_cut``
+run, so a gap costs one probe, not one per pixel.
 """
 from __future__ import annotations
 
@@ -41,6 +40,7 @@ from .rle import (
     Point,
     Rect,
     RleImage,
+    _BLOCK_BYTES,
     _as_runs,
     bounding_rect,
     complement_within,
@@ -50,10 +50,6 @@ from .rle import (
 
 # What runs the scan: numpy array operations driven from Python.
 BACKEND = "python"
-
-# The scan takes x_cut's runs in chunks whose (entry x run) arrays hold at
-# most this many cells.
-_CHUNK_CELLS = 1 << 18
 
 
 class EmptyStructuringElementError(ValueError):
@@ -129,11 +125,11 @@ class ErodeTrace:
 
     # Skeleton entries probed, all of them at every candidate.
     probes: int = 0
-    # Lockstep rounds of the scan, summed over its chunks; a round moves
-    # every unfinished x_cut run of its chunk by a jump, a hit or both.
+    # Lockstep rounds of the scan; a round moves every live x_cut run by a
+    # jump, a hit or both.  More runs than the budget holds take more rounds.
     rounds: int = 0
-    # x_cut runs the vertical trim dropped, each chunk before its first
-    # round: a row the element probes holds no kept run, so none can hit.
+    # x_cut runs the vertical trim dropped as the scan admitted them: a row
+    # the element probes holds no kept run, so none can hit.
     trimmed: int = 0
     # (x, y, k): the candidate at (x, y) missed, k its largest deficit over
     # the entries, cut at the end of its x_cut run; (x..x+k-1, y) skipped.
@@ -194,13 +190,14 @@ def erode_check_at(tables: ErosionTables, h: Point) -> bool:
                for sx, sy, d in tables.skel.entries.tolist())
 
 
-def _scan_chunk(tables: ErosionTables, cut: np.ndarray, trace: ErodeTrace | None) -> np.ndarray:
-    """Trim and scan some x_cut runs, given as the rows lx, rx and y of cut,
-    in lockstep; returns their hits in (y, x) order.  Every x_cut run is
-    at least l_max >= l_min long, so it is a kept run in a row of rows.
-    The vertical trim scans a run at y0 only if every row y0 + sy its
-    skeleton probes holds kept runs.  For a block with first and last rows
-    a and b, rows is strictly increasing, so with
+def _scan(tables: ErosionTables, step: int, trace: ErodeTrace | None) -> np.ndarray:
+    """Trim and scan the x_cut runs in lockstep, at most step of them live;
+    returns their hits in (y, x) order.  When at most half of step are
+    live, the next runs join, trimmed first, rather than wait for the
+    busiest.  Every x_cut run is at least l_max >= l_min long, so it is a
+    kept run in a row of rows.  The vertical trim scans a run at y0 only if
+    every row y0 + sy its skeleton probes holds kept runs.  For a block
+    with first and last rows a and b, rows is strictly increasing, so with
     r0 = rows.searchsorted(y0 + a) the rows y0 + a..y0 + b all do exactly
     when rows[r0 + b - a] == y0 + b, read only where that index exists.  r0
     holds one row of these indices per block, and an entry of block i
@@ -232,22 +229,29 @@ def _scan_chunk(tables: ErosionTables, cut: np.ndarray, trace: ErodeTrace | None
     left, right, rows, blocks = tables.left, tables.right, tables.rows, tables.skel.blocks
     sx, sy, depth = tables.skel.entries.T
     a, b = sy[blocks[:-1]], sy[blocks[1:] - 1]
-    span = (b - a)[:, None]
-    r0 = rows.searchsorted(np.add.outer(a, cut[2]))
-    full = ((r0 < len(rows) - span)
-            & (rows.take(r0 + span, mode="clip") == np.add.outer(b, cut[2]))).all(axis=0)
-    x, rx0, y0 = cut.compress(full, axis=1)
-    r0 = r0.compress(full, axis=1)
-    run = np.arange(len(x))
-    # c holds each cell's row index first, then that row's first kept run.
-    c = np.empty((len(sy), len(x)), dtype=np.int64)
-    for i, (lo, hi) in enumerate(zip(blocks, blocks[1:])):
-        np.add.outer(sy[lo:hi] - a[i], r0[i], out=c[lo:hi])
-    c, e = tables.row_ptr[:-1].take(c), tables.row_ptr[1:].take(c)
-    sx, d1 = sx[:, None], (depth - 1)[:, None]
+    span, sx, d1 = (b - a)[:, None], sx[:, None], (depth - 1)[:, None]
     no_events = np.empty((4, 0), dtype=np.int64)
-    hits, jumps, n_round = [no_events], [no_events], 0
-    while len(x):
+    hits, jumps, n_round, n_trimmed, seen, x = [no_events], [no_events], 0, 0, 0, no_events[0]
+    while True:
+        while 2 * len(x) <= step and seen < len(tables.x_cut):
+            new = tables.x_cut.array[seen:seen + step - len(x)].T
+            r0 = rows.searchsorted(np.add.outer(a, new[2]))
+            full = ((r0 < len(rows) - span)
+                    & (rows.take(r0 + span, mode="clip") == np.add.outer(b, new[2]))).all(axis=0)
+            r0 = r0.compress(full, axis=1)
+            # Each cell's row index, then that row's first kept run and end.
+            ci = np.empty((len(sy), len(r0[0])), dtype=np.int64)
+            for i, (lo, hi) in enumerate(zip(blocks, blocks[1:])):
+                np.add.outer(sy[lo:hi] - a[i], r0[i], out=ci[lo:hi])
+            joined = (*new.compress(full, axis=1), np.flatnonzero(full) + seen,
+                      tables.row_ptr[:-1].take(ci), tables.row_ptr[1:].take(ci))
+            if len(x):  # the live runs' cells lie along the last axis
+                joined = [np.concatenate(p, axis=-1) for p in zip((x, rx0, y0, run, c, e), joined)]
+            x, rx0, y0, run, c, e = joined
+            n_trimmed += len(full) - int(full.sum())
+            seen += len(full)
+        if not len(x):
+            break
         n_round += 1
         px = x + sx
         rc = right.take(c, mode="clip")
@@ -274,7 +278,7 @@ def _scan_chunk(tables: ErosionTables, cut: np.ndarray, trace: ErodeTrace | None
     if trace is not None:
         jumps = np.concatenate(jumps, axis=1)
         trace.probes += len(sx) * (jumps.shape[1] + hits.shape[1])
-        trace.trimmed += len(full) - int(full.sum())
+        trace.trimmed += n_trimmed
         trace.rounds += n_round
         trace.jumps = np.concatenate((trace.jumps, jumps[1:, jumps[0].argsort(kind="stable")].T))
     return hits[1:, np.argsort(hits[0], kind="stable")].T
@@ -293,16 +297,13 @@ def _lower_bound(a: np.ndarray, lo: np.ndarray, hi: np.ndarray, v: np.ndarray) -
 
 def erode(x: RleImage, se: RleImage, trace: ErodeTrace | None = None) -> RleImage:
     """Exact erosion of x by an arbitrary non-empty structuring element: the
-    trim and jump scan of x_cut, one chunk of runs at a time, which add
-    their counts and events to trace."""
+    trim and jump scan of x_cut, with as many runs live as keep each (entry x
+    run) array within _BLOCK_BYTES, at least one; it adds its counts to trace."""
     skel = generate_skeleton(se)
     tables = build_tables(x, skel)
-    cut = tables.x_cut.array
-    if not len(cut):  # with no x_cut run nothing fits
+    if not len(tables.x_cut):  # with no x_cut run nothing fits
         return EMPTY
-    step = max(1, _CHUNK_CELLS // len(skel.entries))
-    chunks = (_scan_chunk(tables, cut[i:i + step].T, trace) for i in range(0, len(cut), step))
-    runs = np.concatenate([EMPTY.array, *chunks])
+    runs = _scan(tables, max(1, _BLOCK_BYTES // (8 * len(skel.entries))), trace)
     if trace is not None:
         lx, rx, y = runs.T
         trace.hits = np.concatenate((trace.hits, np.column_stack((lx, y, rx - lx + 1))))

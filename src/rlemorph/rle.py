@@ -235,10 +235,9 @@ def normalize(runs: Iterable[tuple[int, int, int]] | np.ndarray) -> RleImage:
     return _cover(_as_runs(runs), 1)
 
 
-# The codec's loops take blocks of whole rows whose largest temporary, one
-# bool per pixel or one 64-bit word per 64 pixels, holds about this many
-# bytes, so that the temporaries stay in cache and no pass copies a whole
-# grid or payload.
+# The one temporary budget, in bytes: the codec's blocks of rows and the
+# erosion scan's live x_cut runs, at least one each, are sized so that their
+# largest temporary (bool per pixel, word per 64 pixels, int64 per cell) fits.
 _BLOCK_BYTES = 1 << 18
 
 

@@ -34,6 +34,7 @@ from rlemorph.rle import (
     Rect,
     RleImage,
     Run,
+    _BLOCK_BYTES,
     bounding_rect,
     complement_within,
     drop_short_runs,
@@ -601,6 +602,22 @@ class TestMemoryBoundedByRuns:
             peaks.append(peak)
         assert peaks[1] <= 1.5 * peaks[0], peaks
 
+    def test_scan_peak_bounded_by_budget(self):
+        # The complement dilate builds for the blob image, eroded by square
+        # 101 (101 entries): its live runs' (entry x run) arrays stay within
+        # the one temporary budget, so the peak does too.
+        x = blob_image(1024, 1024, seed=1)
+        comp = complement_within(x, bounding_rect(x).grown(100, 100))
+        tracemalloc.start()
+        try:
+            out = erode(comp, square_se(101))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        if out != erode_runs(comp, square_se(101)):
+            pytest.fail("erosion by square 101 differs from erode_runs")
+        assert peak < 16 * _BLOCK_BYTES, peak
+
     @pytest.mark.xfail(strict=True, reason="dilate complements every row of the grown "
                        "bounding box; ROADMAP open item 2 complements only the rows "
                        "the element reaches")
@@ -641,6 +658,23 @@ class TestCostLaws:
                 pytest.fail(f"erosion by square {k} differs from erode_runs")
             probes[k] = trace.probes
         assert probes[101] <= 4 * probes[11], probes
+
+
+    def test_rounds_overlap_admissions(self, monkeypatch):
+        # The blob complement by square 101 holds about eight budgets of
+        # x_cut runs.  Runs join as others finish, so its rounds stay within
+        # a small multiple of those with every run live (25 against 8), not
+        # their sum over budgets scanned one after another (46).
+        x = blob_image(1024, 1024, seed=1)
+        comp = complement_within(x, bounding_rect(x).grown(100, 100))
+        rounds = []
+        for budget in (_BLOCK_BYTES, 2**40):
+            monkeypatch.setattr(morphology, "_BLOCK_BYTES", budget)
+            trace = ErodeTrace()
+            if erode(comp, square_se(101), trace) != erode_runs(comp, square_se(101)):
+                pytest.fail(f"erosion at budget {budget} differs from erode_runs")
+            rounds.append(trace.rounds)
+        assert rounds[0] <= 4 * rounds[1], rounds
 
 
 class TestScanBoundedByRuns:
@@ -784,14 +818,14 @@ class TestScanMatchesReference:
             self.check(x, random_se(rng))
 
     def test_chunked_scan(self, monkeypatch):
-        # Taking the untrimmed x_cut runs two at a time changes no event,
-        # and the rounds add up over the chunks.
+        # A budget of two live x_cut runs changes no event; a round moves at
+        # most two runs, so there are at least half as many rounds as runs.
         x, se = blob_image(64, 64, blobs=6, seed=12), diamond_se(5)
         skel = generate_skeleton(se)
         n_cut = len(build_tables(x, skel).x_cut)
         whole = ErodeTrace()
         erode(x, se, whole)
-        monkeypatch.setattr(morphology, "_CHUNK_CELLS", 2 * len(skel.entries))
+        monkeypatch.setattr(morphology, "_BLOCK_BYTES", 8 * 2 * len(skel.entries))
         self.check(x, se)
         chunked = ErodeTrace()
         erode(x, se, chunked)
@@ -852,9 +886,10 @@ class TestScanMatchesReference:
         assert (trace.trimmed, trace.candidates) == counts
 
     def test_chunk_of_trimmed_runs(self, monkeypatch):
-        # One run per chunk: each chunk trims its only run and scans none.
+        # A budget of one live run: each run is trimmed as it is admitted,
+        # and none is scanned.
         x, se = img((0, 9, 0), (0, 9, 5)), self.COLUMN_TOP
-        monkeypatch.setattr(morphology, "_CHUNK_CELLS", len(generate_skeleton(se).entries))
+        monkeypatch.setattr(morphology, "_BLOCK_BYTES", 8 * len(generate_skeleton(se).entries))
         self.check(x, se)
         trace = ErodeTrace()
         erode(x, se, trace)

@@ -323,6 +323,24 @@ class TestSetOps:
         assert u.pixel_set() == a.pixel_set() | b.pixel_set()
         assert i.pixel_set() == a.pixel_set() & b.pixel_set()
 
+    # Each image is moved next to a corner of the +-2**61 bound, its pixels
+    # within 60 px of it: two images at one corner span a few pixels, at
+    # opposite corners up to 2**62 columns or rows.
+    corners = st.builds(lambda cx, cy, dx, dy: Point(cx * (2**61 - 30) + dx,
+                                                     cy * (2**61 - 30) + dy),
+                        st.sampled_from((-1, 1)), st.sampled_from((-1, 1)),
+                        st.integers(-9, 9), st.integers(-9, 9))
+
+    @settings(max_examples=300)
+    @given(images, corners, images, corners)
+    def test_pixel_sets_near_coordinate_bound(self, a, u, b, v):
+        a, b = translate(a, u), translate(b, v)
+        pa, pb = a.pixel_set(), b.pixel_set()
+        mixed = np.concatenate((b.array, a.array[::-1]))
+        assert normalize(mixed).pixel_set() == pa | pb
+        assert union(a, b).pixel_set() == pa | pb
+        assert intersect(a, b).pixel_set() == pa & pb
+
     @given(images, images, points)
     def test_translate_distributes(self, a, b, v):
         assert translate(union(a, b), v) == union(translate(a, v), translate(b, v))
