@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rle import COORD_LIMIT, Rect, RleImage, _bit_runs, _packed, _paint, from_raster, normalize
+from .rle import COORD_LIMIT, Rect, RleImage, _bit_runs, _packed, _paint, normalize
 
 
 @dataclass(frozen=True)
@@ -46,11 +46,6 @@ _GAP = re.compile(b"(?:[%s]|%s)*" % (re.escape(_WS), _COMMENT.pattern))
 # whitespace byte before the raster comes after them.
 _P4_COMMENTS = re.compile(rb"(?:%s[\r\n]?)*" % _COMMENT.pattern)
 _DIGITS = re.compile(rb"[0-9]*")
-# Byte classes in a P1 payload: 0 invalid, 1 whitespace, 2 digit 0, 3 digit 1.
-_P1_KIND = np.zeros(256, dtype=np.uint8)
-_P1_KIND[list(_WS)] = 1
-_P1_KIND[ord("0")] = 2
-_P1_KIND[ord("1")] = 3
 
 
 def _read_uint(data: bytes, pos: int, what: str) -> tuple[int, int]:
@@ -62,23 +57,23 @@ def _read_uint(data: bytes, pos: int, what: str) -> tuple[int, int]:
 
 
 def _p1_bits(data: bytes, pos: int, width: int, height: int) -> np.ndarray:
-    """The (height, width) bit grid of a P1 payload starting at pos.
+    """The pixels of a P1 payload starting at pos, as P4 stores them:
+    (height, ceil(width / 8)) MSB-first bit rows.
 
     Comments become whitespace; the first width*height digits are the
     pixels, and any other byte is an error only before the last of them.
     """
-    payload = _COMMENT.sub(lambda m: b" " * len(m[0]), data[pos:])
-    kind = _P1_KIND.take(np.frombuffer(payload, dtype=np.uint8))
-    digits = np.flatnonzero(kind >= 2)
+    b = np.frombuffer(_COMMENT.sub(lambda m: b" " * len(m[0]), data[pos:]), dtype=np.uint8)
+    bit = b - ord("0")  # 0 or 1 for a digit; any other byte wraps above 1
+    bad = np.flatnonzero((bit > 1) & (b - 9 > 4) & (b != 32))  # whitespace is 9-13 and 32
+    digits = np.flatnonzero(bit <= 1)
     need = width * height
-    end = digits[need - 1] + 1 if len(digits) >= need else len(kind)
-    bad = np.flatnonzero(kind[:end] == 0)
-    if bad.size:
+    if bad.size and (len(digits) < need or bad[0] < digits[need - 1]):
         at = pos + int(bad[0])
         raise PbmParseError(f"unexpected byte {data[at : at + 1]!r} in P1 payload", at)
     if len(digits) < need:
         raise PbmParseError("truncated P1 payload", len(data))
-    return (kind[digits[:need]] == 3).reshape(height, width)
+    return np.packbits(bit[digits[:need]].reshape(height, width), axis=1)
 
 
 def read_pbm(data: bytes) -> tuple[RleImage, ImageFileMeta]:
@@ -90,24 +85,27 @@ def read_pbm(data: bytes) -> tuple[RleImage, ImageFileMeta]:
     if width < 1 or height < 1:
         raise PbmParseError(f"bad dimensions {width}x{height}", pos)
     if data[:2] == b"P1":
-        return from_raster(_p1_bits(data, pos, width, height)), ImageFileMeta(width, height)
-    pos = _P4_COMMENTS.match(data, pos).end()
-    if pos >= len(data):
-        raise PbmParseError("truncated P4 header", pos)
-    if data[pos] not in _WS:
-        raise PbmParseError("expected whitespace before the P4 raster", pos)
-    pos += 1
-    row_bytes = (width + 7) // 8
-    need = row_bytes * height
-    if len(data) - pos < need:
-        raise PbmParseError("truncated P4 payload", len(data))
-    raw = np.frombuffer(data, dtype=np.uint8, count=need, offset=pos)
-    return RleImage._built(_bit_runs(raw.reshape(height, row_bytes), width)), ImageFileMeta(width, height)
+        rows = _p1_bits(data, pos, width, height)
+    else:
+        pos = _P4_COMMENTS.match(data, pos).end()
+        if pos >= len(data):
+            raise PbmParseError("truncated P4 header", pos)
+        if data[pos] not in _WS:
+            raise PbmParseError("expected whitespace before the P4 raster", pos)
+        pos += 1
+        row_bytes = (width + 7) // 8
+        need = row_bytes * height
+        if len(data) - pos < need:
+            raise PbmParseError("truncated P4 payload", len(data))
+        rows = np.frombuffer(data, dtype=np.uint8, count=need, offset=pos).reshape(height, row_bytes)
+    return RleImage._built(_bit_runs(rows, width)), ImageFileMeta(width, height)
 
 
 def write_pbm(img: RleImage, meta: ImageFileMeta, variant: str = "P1") -> bytes:
     if variant not in ("P1", "P4"):
         raise ValueError(f"unknown PBM variant {variant!r}")
+    if meta.width < 1 or meta.height < 1:
+        raise PbmWriteError(f"bad dimensions {meta.width}x{meta.height}: a PBM canvas is at least 1x1")
     lx, rx, y = img.array.T
     bad = np.flatnonzero((y < 0) | (y >= meta.height) | (lx < 0) | (rx >= meta.width))
     if bad.size:

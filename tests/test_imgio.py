@@ -78,6 +78,31 @@ class TestReadPbm:
         else:
             pytest.fail("expected parse error")
 
+    @pytest.mark.parametrize("byte", range(256))
+    def test_p1_byte_classes(self, byte):
+        # Between the first two pixel digits: whitespace separates them, a
+        # digit is the second pixel, '#' comments out "0" up to the LF, and
+        # any other byte is an error at its own offset.
+        data = b"P1\n2 1\n1" + bytes([byte]) + b"0\n1"
+        if byte in (9, 10, 11, 12, 13, 32):
+            assert read_pbm(data)[0] == img((0, 0, 0))
+        elif byte in (ord("0"), ord("1"), ord("#")):
+            assert read_pbm(data)[0] == img((0, 0 if byte == ord("0") else 1, 0))
+        else:
+            with pytest.raises(PbmParseError, match="unexpected byte") as info:
+                read_pbm(data)
+            assert info.value.offset == 8
+
+    def test_p1_comment_digits_do_not_count(self):
+        image, _ = read_pbm(b"P1\n2 2\n1 #1 1\n0 # 0 1 1\r0 1")
+        assert image == img((0, 0, 0), (1, 1, 1))
+        with pytest.raises(PbmParseError, match="truncated P1 payload"):
+            read_pbm(b"P1\n2 1\n1 #1\n")
+
+    def test_p1_bytes_after_last_digit_ignored(self):
+        image, _ = read_pbm(b"P1\n2 1\n1 0 x")
+        assert image == img((0, 0, 0))
+
     # Header fields are separated by any run of whitespace and comments; a
     # comment runs to the next CR or LF.  After the P4 height come comments,
     # each through its line break, then one whitespace byte.
@@ -130,6 +155,13 @@ class TestWritePbm:
     def test_p4_packing(self):
         data = write_pbm(img((0, 0, 0), (2, 2, 0)), ImageFileMeta(8, 1), "P4")
         assert data == b"P4\n8 1\n" + bytes([0b10100000])
+
+    @pytest.mark.parametrize("variant", ["P1", "P4"])
+    @pytest.mark.parametrize("width, height", [(0, 0), (0, 3), (3, 0), (-1, 2)])
+    def test_canvas_under_one_pixel_rejected(self, variant, width, height):
+        for image in (EMPTY, img((0, 0, 0))):
+            with pytest.raises(PbmWriteError, match=f"bad dimensions {width}x{height}"):
+                write_pbm(image, ImageFileMeta(width, height), variant)
 
     def test_out_of_bounds_rejected(self):
         with pytest.raises(PbmWriteError, match="outside"):
@@ -224,6 +256,14 @@ def test_p4_codec_memory_follows_payload():
     payload = 4096 * 4096 // 8
     assert _peak_bytes(lambda: read_pbm(data)) < 2.5 * payload
     assert _peak_bytes(lambda: write_pbm(image, meta, "P4")) < 2.5 * payload
+
+
+def test_p1_decode_memory_follows_payload():
+    # P1 digits are packed to P4's bit rows: a few bytes per payload byte
+    # and one index per digit, with no index per byte and no pixel grid.
+    image = blob_image(1024, 1024, seed=1)
+    data = write_pbm(image, ImageFileMeta(1024, 1024), "P1")
+    assert _peak_bytes(lambda: read_pbm(data)) < 8 * len(data)
 
 
 class TestRleText:
