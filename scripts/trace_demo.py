@@ -30,6 +30,10 @@ def main(argv=None) -> int:
     image, _ = load_image_source(args.image)
     se, _ = load_image_source(args.se)
     skel = generate_skeleton(se)
+    # Row blocks, as the scan's vertical trim derives them: a new one at
+    # each step of more than one row between consecutive entries.
+    sy = skel.entries[:, 1].tolist()
+    n_blocks = 1 + sum(b - a > 1 for a, b in zip(sy, sy[1:]))
 
     tables = build_tables(image, skel)
     trace = ErodeTrace()
@@ -39,7 +43,7 @@ def main(argv=None) -> int:
     print(f"backend: {BACKEND}")
     print(f"input: {total} pixels in {len(image)} runs")
     print(f"element: {args.se}, "
-          f"{len(skel.entries)} skeleton entries in {len(skel.blocks) - 1} row blocks, "
+          f"{len(skel.entries)} skeleton entries in {n_blocks} row blocks, "
           f"l_min={skel.l_min}, l_max={skel.l_max}")
     print(f"output: {result.pixel_count()} pixels in {len(result)} runs")
     print(f"tables: {len(tables.left)} kept runs, left {tables.left.nbytes} B, "

@@ -62,8 +62,11 @@ def _p1_bits(data: bytes, pos: int, width: int, height: int) -> np.ndarray:
 
     Comments become whitespace; the first width*height digits are the
     pixels, and any other byte is an error only before the last of them.
+    A payload with no comment is read in place, without a copy.
     """
-    b = np.frombuffer(_COMMENT.sub(lambda m: b" " * len(m[0]), data[pos:]), dtype=np.uint8)
+    if data.find(b"#", pos) >= 0:  # same length, so the offsets stay
+        data = data[:pos] + _COMMENT.sub(lambda m: b" " * len(m[0]), data[pos:])
+    b = np.frombuffer(data, dtype=np.uint8, offset=pos)
     bit = b - ord("0")  # 0 or 1 for a digit; any other byte wraps above 1
     bad = np.flatnonzero((bit > 1) & (b - 9 > 4) & (b != 32))  # whitespace is 9-13 and 32
     digits = np.flatnonzero(bit <= 1)

@@ -64,10 +64,7 @@ class SkeletonTable:
 
     entries: read-only (E, 3) int64 array, one row (sx, sy, depth) per run
     in (y, lx) order: (sx, sy) is the run's rightmost pixel, depth its length.
-    blocks: read-only int64 array 0 = blocks[0] < ... < blocks[-1] = E;
-    entries blocks[i] <= k < blocks[i + 1] form block i, a maximal run of
-    entries whose rows sy follow one another without a gap, so that the
-    vertical trim tests each block by its first and last rows.
+    The scan derives the row blocks of its vertical trim from the sy column.
     Compared and hashed by identity, as an array has no single truth value.
     """
 
@@ -75,7 +72,6 @@ class SkeletonTable:
     l_min: int
     l_max: int
     anchor_q: Point
-    blocks: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -153,12 +149,7 @@ def generate_skeleton(se: RleImage) -> SkeletonTable:
     q = Point(int(a[best, 1]), int(a[best, 2]))
     entries = np.column_stack((a[:, 1] - q.x, a[:, 2] - q.y, lengths))
     entries.flags.writeable = False
-    # Entries are in sy order; an entry a step of more than one row below
-    # the one before it starts a new block of gapless rows.
-    sy = entries[:, 1]
-    blocks = np.concatenate(([0], np.flatnonzero(sy[1:] - sy[:-1] > 1) + 1, [len(sy)]))
-    blocks.flags.writeable = False
-    return SkeletonTable(entries, int(lengths.min()), int(lengths.max()), q, blocks)
+    return SkeletonTable(entries, int(lengths.min()), int(lengths.max()), q)
 
 
 def build_tables(x: RleImage, skel: SkeletonTable) -> ErosionTables:
@@ -190,14 +181,17 @@ def erode_check_at(tables: ErosionTables, h: Point) -> bool:
                for sx, sy, d in tables.skel.entries.tolist())
 
 
-def _scan(tables: ErosionTables, step: int, trace: ErodeTrace | None) -> np.ndarray:
-    """Trim and scan the x_cut runs in lockstep, at most step of them live;
-    returns their hits in (y, x) order.  When at most half of step are
-    live, the next runs join, trimmed first, rather than wait for the
-    busiest.  Every x_cut run is at least l_max >= l_min long, so it is a
-    kept run in a row of rows.  The vertical trim scans a run at y0 only if
-    every row y0 + sy its skeleton probes holds kept runs.  For a block
-    with first and last rows a and b, rows is strictly increasing, so with
+def _scan(tables: ErosionTables, trace: ErodeTrace | None) -> np.ndarray:
+    """Trim and scan the x_cut runs in lockstep, at most step of them live,
+    as many as keep each (entry x run) int64 array within _BLOCK_BYTES, at
+    least one; returns their hits in (y, x) order.  When at most half of
+    step are live, the next runs join, trimmed first, rather than wait for
+    the busiest.  Every x_cut run is at least l_max >= l_min long, so it is
+    a kept run in a row of rows.  The vertical trim scans a run at y0 only
+    if every row y0 + sy its skeleton probes holds kept runs.  The entries,
+    in sy order, split at each step of more than one row into blocks of
+    gapless rows.  For a block with first and last rows a and b, rows is
+    strictly increasing, so with
     r0 = rows.searchsorted(y0 + a) the rows y0 + a..y0 + b all do exactly
     when rows[r0 + b - a] == y0 + b, read only where that index exists.  r0
     holds one row of these indices per block, and an entry of block i
@@ -226,8 +220,10 @@ def _scan(tables: ErosionTables, step: int, trace: ErodeTrace | None) -> np.ndar
     records every jump cut at rx0 - x + 1, the positions left in its run,
     since a jump past the run's end ends the run either way.
     """
-    left, right, rows, blocks = tables.left, tables.right, tables.rows, tables.skel.blocks
+    left, right, rows = tables.left, tables.right, tables.rows
     sx, sy, depth = tables.skel.entries.T
+    step = max(1, _BLOCK_BYTES // (8 * len(sy)))
+    blocks = np.concatenate(([0], np.flatnonzero(sy[1:] - sy[:-1] > 1) + 1, [len(sy)]))
     a, b = sy[blocks[:-1]], sy[blocks[1:] - 1]
     span, sx, d1 = (b - a)[:, None], sx[:, None], (depth - 1)[:, None]
     no_events = np.empty((4, 0), dtype=np.int64)
@@ -297,13 +293,12 @@ def _lower_bound(a: np.ndarray, lo: np.ndarray, hi: np.ndarray, v: np.ndarray) -
 
 def erode(x: RleImage, se: RleImage, trace: ErodeTrace | None = None) -> RleImage:
     """Exact erosion of x by an arbitrary non-empty structuring element: the
-    trim and jump scan of x_cut, with as many runs live as keep each (entry x
-    run) array within _BLOCK_BYTES, at least one; it adds its counts to trace."""
+    trim and jump scan of x_cut; it adds its counts to trace."""
     skel = generate_skeleton(se)
     tables = build_tables(x, skel)
     if not len(tables.x_cut):  # with no x_cut run nothing fits
         return EMPTY
-    runs = _scan(tables, max(1, _BLOCK_BYTES // (8 * len(skel.entries))), trace)
+    runs = _scan(tables, trace)
     if trace is not None:
         lx, rx, y = runs.T
         trace.hits = np.concatenate((trace.hits, np.column_stack((lx, y, rx - lx + 1))))

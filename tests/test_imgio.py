@@ -99,6 +99,25 @@ class TestReadPbm:
         with pytest.raises(PbmParseError, match="truncated P1 payload"):
             read_pbm(b"P1\n2 1\n1 #1\n")
 
+    @pytest.mark.parametrize("width", [1, 7, 8, 9, 63, 64, 65])
+    def test_p1_read_in_place_or_through_comments(self, width):
+        # With no '#' the payload is read in place; a comment before the
+        # middle digit sends it through the comment-stripping copy.  Both
+        # read the same image, and report a bad byte at its own offset: the
+        # same one before the comment, one the comment's length later after.
+        image, meta = random_image(width, 3, 0.5, seed=width), ImageFileMeta(width, 3)
+        plain = write_pbm(image, meta, "P1")
+        first = len(f"P1\n{width} 3\n")
+        mid = first + 2 * (3 * width // 2)
+        comment = b"# 1 0 x\n"
+        commented = plain[:mid] + comment + plain[mid:]
+        assert read_pbm(plain) == read_pbm(commented) == (image, meta)
+        for data, bad in ((plain, first + 1), (commented, first + 1),
+                          (plain, mid + 1), (commented, mid + len(comment) + 1)):
+            with pytest.raises(PbmParseError, match="unexpected byte b'x'") as info:
+                read_pbm(data[:bad] + b"x" + data[bad + 1:])
+            assert info.value.offset == bad
+
     def test_p1_bytes_after_last_digit_ignored(self):
         image, _ = read_pbm(b"P1\n2 1\n1 0 x")
         assert image == img((0, 0, 0))

@@ -817,6 +817,35 @@ class TestScanMatchesReference:
                 x = random_rle_image(rng, 40, 40)
             self.check(x, random_se(rng))
 
+    def test_many_block_combs(self):
+        # Combs of 16-32 rows of 1-3 pixels, each row one or more below the
+        # last, on images whose rows of one residue mod p are blank.  The
+        # comb skips a residue mod p too, so runs in step with the blank
+        # rows probe only kept rows, across one-row gaps, and the others
+        # are trimmed.  A gap of a row or more starts a block: up to 32.
+        rng = random.Random(35)
+        blocks = set()
+        for i in range(40):
+            p, n, y, runs = rng.randint(2, 4), rng.randint(16, 32), 1, []
+            while len(runs) < n:
+                if y % p:
+                    lx = rng.randint(-2, 2)
+                    runs.append((lx, lx + rng.randint(0, 2), y))
+                y += rng.choice((1, 1, 2))
+            se = translate(img(*runs), Point(0, -rng.randint(0, y)))
+            if i % 2:
+                x = blob_image(rng.randint(20, 60), rng.randint(60, 140),
+                               blobs=rng.randint(1, 4), min_size=20, max_size=60,
+                               seed=rng.randrange(2**32))
+            else:
+                x = random_rle_image(rng, 40, 120, min_density=0.7)
+            blank = rng.randrange(p)
+            x = img(*[run for run in x.array.tolist() if run[2] % p != blank])
+            sy = generate_skeleton(se).entries[:, 1].tolist()
+            blocks.add(1 + sum(b - a > 1 for a, b in zip(sy, sy[1:])))
+            self.check(x, se)
+        assert max(blocks) > 6
+
     def test_chunked_scan(self, monkeypatch):
         # A budget of two live x_cut runs changes no event; a round moves at
         # most two runs, so there are at least half as many rounds as runs.
@@ -1000,12 +1029,6 @@ class TestVerticalTrim:
     def test_matches_naive_and_reference(self, x, se):
         TestScanMatchesReference.check(x, se)
         skel = generate_skeleton(se)
-        # The blocks split the entries, in order, into maximal runs of
-        # rows without a gap.
-        sy, blocks = skel.entries[:, 1].tolist(), skel.blocks.tolist()
-        assert blocks[0] == 0 and blocks[-1] == len(sy)
-        assert all(lo < hi for lo, hi in zip(blocks, blocks[1:]))
-        assert all((sy[i] - sy[i - 1] > 1) == (i in blocks) for i in range(1, len(sy)))
         # A trimmed run is the one jump out of its run that its first
         # candidate makes untrimmed: a probe of a row without kept runs
         # misses to the run's end.
