@@ -2,16 +2,17 @@
 """Show the pixel-skipping behaviour of the jump scan on a small example.
 
 Erodes an image by a structuring element while collecting the
-instrumentation trace, then prints the backend of the scan, the
-size of the run-indexed distance tables, how many candidate positions were
-actually probed versus the total pixel count, the lockstep rounds of the
-scan, the x_cut runs the vertical trim dropped, and the jump/hit events.
-IMAGE and SE are file paths or specs as the rlemorph command line takes
-them.
+instrumentation trace, then prints the backend of the scan, which path
+eroded (a rectangle takes the column chain, any other element the jump
+scan), the size of the run-indexed distance tables, how many candidate
+positions were actually probed versus the total pixel count, the lockstep
+rounds of the scan or steps of the chain, the x_cut runs the vertical trim
+dropped, and the jump/hit events.  IMAGE and SE are file paths or specs
+as the rlemorph command line takes them.
 
 Usage:
     python3 scripts/trace_demo.py [IMAGE [SE]]
-        (defaults: random:32x32:density=0.6:seed=7 square:3)
+        (defaults: random:32x32:density=0.6:seed=7 diamond:5)
 """
 import argparse
 import sys
@@ -24,7 +25,7 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("image", metavar="IMAGE", nargs="?",
                     default="random:32x32:density=0.6:seed=7")
-    ap.add_argument("se", metavar="SE", nargs="?", default="square:3")
+    ap.add_argument("se", metavar="SE", nargs="?", default="diamond:5")
     args = ap.parse_args(argv)
 
     image, _ = load_image_source(args.image)
@@ -41,6 +42,10 @@ def main(argv=None) -> int:
 
     total = image.pixel_count()
     print(f"backend: {BACKEND}")
+    if trace.columns:
+        print("path: column chain")
+    else:
+        print("path: jump scan" if len(tables.x_cut) else "path: none, x_cut is empty")
     print(f"input: {total} pixels in {len(image)} runs")
     print(f"element: {args.se}, "
           f"{len(skel.entries)} skeleton entries in {n_blocks} row blocks, "
@@ -56,7 +61,7 @@ def main(argv=None) -> int:
     print(f"candidates examined : {trace.candidates:>6} "
           f"({trace.candidates / max(total, 1):.0%} of input pixels)")
     print(f"skeleton probes     : {trace.probes:>6}")
-    print(f"lockstep rounds     : {trace.rounds:>6}")
+    print(f"rounds or steps     : {trace.rounds:>6}")
     print(f"trimmed x_cut runs  : {trace.trimmed:>6} "
           f"(a row the element probes holds no kept run)")
     print(f"jump-on-miss events : {len(trace.jumps):>6} "

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rle import COORD_LIMIT, Rect, RleImage, _bit_runs, _packed, _paint, normalize
+from .rle import COORD_LIMIT, Rect, RleImage, _BLOCK_BYTES, _bit_runs, _packed, _paint, normalize
 
 
 @dataclass(frozen=True)
@@ -46,6 +46,8 @@ _GAP = re.compile(b"(?:[%s]|%s)*" % (re.escape(_WS), _COMMENT.pattern))
 # whitespace byte before the raster comes after them.
 _P4_COMMENTS = re.compile(rb"(?:%s[\r\n]?)*" % _COMMENT.pattern)
 _DIGITS = re.compile(rb"[0-9]*")
+# A P1 payload byte that is neither a digit nor whitespace.
+_P1_BAD = re.compile(b"[^01%s]" % re.escape(_WS))
 
 
 def _read_uint(data: bytes, pos: int, what: str) -> tuple[int, int]:
@@ -62,21 +64,30 @@ def _p1_bits(data: bytes, pos: int, width: int, height: int) -> np.ndarray:
 
     Comments become whitespace; the first width*height digits are the
     pixels, and any other byte is an error only before the last of them.
-    A payload with no comment is read in place, without a copy.
+    The digits are packed a block of rows at a time, at most _BLOCK_BYTES
+    of them: slices of _BLOCK_BYTES payload bytes lose their whitespace to
+    bytes.translate until the block's digits are in, and a byte of the
+    block above "1" or below "0" is the first that is not a digit.
     """
     if data.find(b"#", pos) >= 0:  # same length, so the offsets stay
         data = data[:pos] + _COMMENT.sub(lambda m: b" " * len(m[0]), data[pos:])
-    b = np.frombuffer(data, dtype=np.uint8, offset=pos)
-    bit = b - ord("0")  # 0 or 1 for a digit; any other byte wraps above 1
-    bad = np.flatnonzero((bit > 1) & (b - 9 > 4) & (b != 32))  # whitespace is 9-13 and 32
-    digits = np.flatnonzero(bit <= 1)
-    need = width * height
-    if bad.size and (len(digits) < need or bad[0] < digits[need - 1]):
-        at = pos + int(bad[0])
-        raise PbmParseError(f"unexpected byte {data[at : at + 1]!r} in P1 payload", at)
-    if len(digits) < need:
-        raise PbmParseError("truncated P1 payload", len(data))
-    return np.packbits(bit[digits[:need]].reshape(height, width), axis=1)
+    out = np.empty((height, (width + 7) // 8), dtype=np.uint8)
+    rows = max(1, _BLOCK_BYTES // width)
+    ink, p = b"", pos  # the payload's bytes before p, less whitespace and packed digits
+    for t in range(0, height, rows):
+        n = min(rows, height - t) * width
+        while len(ink) < n and p < len(data):
+            ink += data[p : p + _BLOCK_BYTES].translate(None, _WS)
+            p += _BLOCK_BYTES
+        bit = np.frombuffer(ink, dtype=np.uint8, count=min(n, len(ink))) - ord("0")
+        if len(bit) < n or bit.max() > 1:  # any other byte wraps above 1
+            bad = _P1_BAD.search(data, pos)
+            if bad:  # every byte before it is a digit or whitespace
+                raise PbmParseError(f"unexpected byte {bad[0]!r} in P1 payload", bad.start())
+            raise PbmParseError("truncated P1 payload", len(data))
+        out[t : t + rows] = np.packbits(bit.reshape(-1, width), axis=1)
+        ink = ink[n:]
+    return out
 
 
 def read_pbm(data: bytes) -> tuple[RleImage, ImageFileMeta]:

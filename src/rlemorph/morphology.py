@@ -28,6 +28,13 @@ on a position at which no entry misses, emits the hit there in the same
 round.  A probe in a gap misses until the next kept run of its row is
 deep enough, or past the row's last kept run to the end of the ``x_cut``
 run, so a gap costs one probe, not one per pixel.
+
+A rectangle skips the scan.  Its skeleton is a column, and ``x_cut`` is
+already the erosion by its top row, so the column chain intersects
+``x_cut`` with itself moved up 1, 2, 4, ... rows and then by the rest, in
+ceil(log2 h) steps for height h (the logarithmic line decompositions of
+van Herk and of Gil & Werman), each two ``searchsorted`` calls over the
+runs keyed by row and x.
 """
 from __future__ import annotations
 
@@ -115,7 +122,8 @@ class ErodeTrace:
     Coordinates are in the anchored (pre-final-translation) frame:
     a candidate h means the element translated by -anchor_q was probed at h.
     Every candidate ends in exactly one jump or one hit; an x_cut run the
-    vertical trim drops holds no candidate.  jumps and hits are (n, 3)
+    vertical trim drops holds no candidate.  The column chain probes no
+    candidate: its hits are its output runs.  jumps and hits are (n, 3)
     int64 arrays; each erode() call appends its rows to them.
     """
 
@@ -127,6 +135,10 @@ class ErodeTrace:
     # x_cut runs the vertical trim dropped as the scan admitted them: a row
     # the element probes holds no kept run, so none can hit.
     trimmed: int = 0
+    # Erosions by a rectangle, done by the column chain, not the scan.  A
+    # chain step counts a round, and a probe per run entering it; the
+    # chain records its output runs as hits and no jumps.
+    columns: int = 0
     # (x, y, k): the candidate at (x, y) missed, k its largest deficit over
     # the entries, cut at the end of its x_cut run; (x..x+k-1, y) skipped.
     jumps: np.ndarray = field(default_factory=lambda: np.empty((0, 3), dtype=np.int64))
@@ -271,13 +283,77 @@ def _scan(tables: ErosionTables, trace: ErodeTrace | None) -> np.ndarray:
             x, rx0, y0, run = x[live], rx0[live], y0[live], run[live]
             c, e = c.compress(live, axis=1), e.compress(live, axis=1)
     hits = np.concatenate(hits, axis=1)
+    runs = hits[1:, np.argsort(hits[0], kind="stable")].T
     if trace is not None:
         jumps = np.concatenate(jumps, axis=1)
         trace.probes += len(sx) * (jumps.shape[1] + hits.shape[1])
         trace.trimmed += n_trimmed
         trace.rounds += n_round
         trace.jumps = np.concatenate((trace.jumps, jumps[1:, jumps[0].argsort(kind="stable")].T))
-    return hits[1:, np.argsort(hits[0], kind="stable")].T
+        _record_hits(trace, runs)
+    return runs
+
+
+def _record_hits(trace: ErodeTrace, runs: np.ndarray) -> None:
+    """Append the anchored runs (lx, rx, y) to trace.hits as (lx, y, n)."""
+    lx, rx, y = runs.T
+    trace.hits = np.concatenate((trace.hits, np.column_stack((lx, y, rx - lx + 1))))
+
+
+def _chain(tables: ErosionTables, trace: ErodeTrace | None) -> np.ndarray | None:
+    """Erode by a column, or return None for the scan to erode.  The
+    skeleton is a column when it has one entry of one depth at sx = 0 on
+    each row 0..h - 1, a w x h rectangle.  x_cut is then already the
+    erosion by its top row, so the result is the pixels of x_cut whose
+    rows y..y + h - 1 all hold them.  Each step intersects the runs
+    covering c rows with themselves moved up s rows, covering c + s: s = c
+    while 2c <= h, then s = h - c once.  On keys (y - y0) * W + (x - x0),
+    W the x range plus 2, no row's keys reach the next row's, so the runs
+    of row y + s that overlap (lx, rx, y) are those from the first whose
+    end key is at least that of (lx, y + s) up to the last whose start key
+    is at most that of (rx, y + s).  Each overlap is a run of the result,
+    in (y, lx) order; returns them as (lx, rx, y) rows.  None also when
+    the keys would not fit int64.  With no h consecutive rows in x_cut
+    nothing fits, and the chain takes no step."""
+    sx, sy, depth = tables.skel.entries.T
+    h = len(sy)
+    if sx.any() or (depth != depth[0]).any() or (sy != np.arange(h)).any():
+        return None
+    cut = tables.x_cut.array
+    x0, y0 = int(cut[:, 0].min()), int(cut[0, 2])
+    width = int(cut[:, 1].max()) - x0 + 2
+    if (int(cut[-1, 2]) - y0 + h + 1) * width >= 2**63:
+        return None
+    y = cut[:, 2]
+    base = (y - y0) * width - x0
+    start, end = base + cut[:, 0], base + cut[:, 1]
+    rows = y.compress(np.append(True, y[1:] != y[:-1]))
+    if len(rows) < h or (rows[h - 1:] - rows[:len(rows) - h + 1] != h - 1).all():
+        start, end = start[:0], end[:0]
+    c, n_steps, n_probes = 1, 0, 0
+    while c < h and len(start):
+        s = min(c, h - c)
+        up = s * width
+        lo = end.searchsorted(start + up)
+        n = start.searchsorted(end + up, "right") - lo
+        if n.max() > 1:  # a run with several partners: one output per pair
+            i = np.repeat(np.arange(len(n)), n)
+            j = np.arange(len(i)) - np.repeat(n.cumsum() - n - lo, n)
+        else:
+            i = np.flatnonzero(n)
+            j = lo.take(i)
+        c, n_steps, n_probes = c + s, n_steps + 1, n_probes + len(start)
+        start = np.maximum(start.take(i), start.take(j) - up)
+        end = np.minimum(end.take(i), end.take(j) - up)
+    y = start // width
+    base = y * width - x0
+    runs = np.column_stack((start - base, end - base, y + y0))
+    if trace is not None:
+        trace.columns += 1
+        trace.rounds += n_steps
+        trace.probes += n_probes
+        _record_hits(trace, runs)
+    return runs
 
 
 def _lower_bound(a: np.ndarray, lo: np.ndarray, hi: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -293,15 +369,15 @@ def _lower_bound(a: np.ndarray, lo: np.ndarray, hi: np.ndarray, v: np.ndarray) -
 
 def erode(x: RleImage, se: RleImage, trace: ErodeTrace | None = None) -> RleImage:
     """Exact erosion of x by an arbitrary non-empty structuring element: the
-    trim and jump scan of x_cut; it adds its counts to trace."""
+    column chain for a rectangle, else the trim and jump scan of x_cut;
+    either adds its counts to trace."""
     skel = generate_skeleton(se)
     tables = build_tables(x, skel)
     if not len(tables.x_cut):  # with no x_cut run nothing fits
         return EMPTY
-    runs = _scan(tables, trace)
-    if trace is not None:
-        lx, rx, y = runs.T
-        trace.hits = np.concatenate((trace.hits, np.column_stack((lx, y, rx - lx + 1))))
+    runs = _chain(tables, trace)
+    if runs is None:
+        runs = _scan(tables, trace)
     q = skel.anchor_q
     return RleImage._built(runs - (q.x, q.x, q.y))
 

@@ -252,7 +252,9 @@ def _bit_runs(packed: np.ndarray, width: int, top: int = 0) -> np.ndarray:
     has a 1 in w ^ (w >> 1) ^ (previous word << 63).  Only the bytes of the
     words that hold such an edge are looked at, and only their nonzero
     bytes are unpacked; the edges, in row order, pair up as (run start,
-    end + 1).  Cost: O(payload words + runs).
+    end + 1).  Each edge's row and x come from one int64 per edge, so a
+    block holds about 32 B per run besides its output.  Cost: O(payload
+    words + runs).
     """
     h, row_bytes = packed.shape
     words = (width + 7) // 64 + 1
@@ -260,6 +262,8 @@ def _bit_runs(packed: np.ndarray, width: int, top: int = 0) -> np.ndarray:
     buf = np.zeros((min(rows, h), 8 * words), dtype=np.uint8)
     pad = 8 * row_bytes - width
     runs = [np.empty((0, 3), dtype=np.int64)]
+    shift = (64 * words - 1).bit_length()
+    mask = (1 << shift) - 1
     for t in range(0, h, rows):
         block = buf[: min(rows, h - t)]
         block[:, :row_bytes] = packed[t : t + rows]
@@ -274,17 +278,33 @@ def _bit_runs(packed: np.ndarray, width: int, top: int = 0) -> np.ndarray:
         nz = np.flatnonzero(e != 0)
         eb = e[nz].astype(">u8").view(np.uint8)
         nb = np.flatnonzero(eb != 0)
-        # Byte nb[k] is byte nb[k] & 7 of word nz[nb[k] >> 3]; the bit i of
-        # the unpacked bytes lies in byte i >> 3, at x = i + d[i >> 3].
-        y, col = np.divmod(nz[nb >> 3], words)
-        d = col * 64 + (nb & 7) * 8 - np.arange(0, 8 * len(nb), 8)
         bit = np.flatnonzero(np.unpackbits(eb[nb]).view(bool))
+        # The rows laid end to end, 2**shift bits apart: word nz[k] starts
+        # at bit d[k] of them.  Byte nb[k] is byte nb[k] & 7 of word
+        # nz[nb[k] >> 3], and bit i of the unpacked bytes lies in byte
+        # i >> 3, at i + d[i >> 3] once d is taken per byte.
+        d, col = np.divmod(nz, words)
+        d <<= shift
+        d |= col << 6
+        d = d.take(nb >> 3)
+        nb &= 7
+        nb <<= 3
+        d += nb
+        d -= np.arange(0, 8 * len(nb), 8)
+        del e, w, eb, nb  # the per-run arrays below are the largest
         start, end = bit[0::2], bit[1::2]
+        out = np.empty((len(start), 3), dtype=np.int64)
         i = start >> 3
-        out = np.empty((len(i), 3), dtype=np.int64)
-        np.add(start, d[i], out=out[:, 0])
-        np.add(end, d[end >> 3] - 1, out=out[:, 1])
-        np.add(y[i], top + t, out=out[:, 2])
+        at = d.take(i)
+        at += start
+        np.right_shift(at, shift, out=out[:, 2])
+        np.bitwise_and(at, mask, out=out[:, 0])
+        np.right_shift(end, 3, out=i)
+        np.take(d, i, out=at, mode="clip")  # "raise" would buffer out
+        at += end
+        at -= 1
+        np.bitwise_and(at, mask, out=out[:, 1])
+        out[:, 2] += top + t
         runs.append(out)
     return runs[1] if len(runs) == 2 else np.concatenate(runs)
 

@@ -528,7 +528,11 @@ class TestScripts:
         spec = importlib.util.spec_from_file_location("trace_demo", path)
         trace_demo = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(trace_demo)
-        for argv in (["random:12x6:density=0.6:seed=3"], ["sparse:4000", "diamond:5"]):
+        # The default element is diamond:5, which the jump scan erodes; a
+        # rectangle takes the column chain.
+        for argv, route in ((["random:12x6:density=0.6:seed=3"], "jump scan"),
+                            (["random:12x6:density=0.6:seed=3", "square:3"], "column chain"),
+                            (["sparse:4000", "diamond:5"], "jump scan")):
             assert trace_demo.main(argv) == 0
             out = capsys.readouterr().out
             for label in ("candidates examined", "jump-on-miss events",
@@ -536,4 +540,4 @@ class TestScripts:
                 assert label in out
             assert re.search(r"^tables: \d+ kept runs, left \d+ B, right \d+ B, "
                              r"row_ptr \d+ B, \d+ x_cut runs$", out, re.M)
-            assert out.splitlines()[0] == f"backend: {morphology.BACKEND}"
+            assert out.splitlines()[:2] == [f"backend: {morphology.BACKEND}", f"path: {route}"]

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from rlemorph import morphology
 from rlemorph.bench import load_image_source
@@ -50,6 +51,15 @@ from helpers import (A, grids, images, img, points, random_rle_image, random_se,
 
 SOLID_5 = img(*[(0, 4, y) for y in range(5)])
 SQUARE_3_CENTERED = img((-1, 1, -1), (-1, 1, 0), (-1, 1, 1))
+
+
+def scan(x, se, trace=None):
+    """x eroded by se through the jump scan, whatever the element: erode
+    hands a rectangle to the column chain instead."""
+    skel = generate_skeleton(se)
+    runs = morphology._scan(build_tables(x, skel), trace)
+    q = skel.anchor_q
+    return RleImage._built(runs - (q.x, q.x, q.y))
 
 
 class TestGenerateSkeleton:
@@ -496,7 +506,7 @@ class TestScanKernel:
     ])
     def test_counts_pinned(self, x, se, counts):
         trace = ErodeTrace()
-        erode(x, se, trace)
+        scan(x, se, trace)
         assert (trace.candidates, trace.probes, len(trace.jumps), len(trace.hits),
                 trace.trimmed) == counts
         # No position is a candidate twice.
@@ -516,7 +526,7 @@ class TestScanKernel:
     ])
     def test_rounds_pinned(self, x, se, rounds):
         trace = ErodeTrace()
-        erode(x, se, trace)
+        scan(x, se, trace)
         assert trace.rounds == rounds
 
     @pytest.mark.parametrize("v", [Point(2**40, -(2**40)), Point(-(2**40) + 7, 2**40 - 3)],
@@ -610,7 +620,7 @@ class TestMemoryBoundedByRuns:
         comp = complement_within(x, bounding_rect(x).grown(100, 100))
         tracemalloc.start()
         try:
-            out = erode(comp, square_se(101))
+            out = scan(comp, square_se(101))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -642,13 +652,11 @@ class TestCostLaws:
     """Scan cost follows the runs, not the element: counted, not timed.  Each
     law also checks the output, so that it cannot pass on a wrong answer."""
 
-    @pytest.mark.xfail(strict=True, raises=AssertionError,
-                       reason="a k x k square has k skeleton entries, each probed at "
-                       "every candidate (766,186 probes for k = 101 against 39,611 "
-                       "for k = 11); ROADMAP open item 7 erodes by a chain of "
-                       "two-point columns")
     def test_element_height(self):
         # The complement dilate builds for the blob image, eroded by squares.
+        # A square takes the column chain, about log2 k steps over the
+        # runs, where the scan probed all k entries at every candidate
+        # (766,186 probes for k = 101 against 39,611 for k = 11).
         x = blob_image(1024, 1024, seed=1)
         probes = {}
         for k in (11, 101):
@@ -656,6 +664,7 @@ class TestCostLaws:
             trace = ErodeTrace()
             if erode(comp, square_se(k), trace) != erode_runs(comp, square_se(k)):
                 pytest.fail(f"erosion by square {k} differs from erode_runs")
+            assert trace.columns == 1 and not len(trace.jumps)
             probes[k] = trace.probes
         assert probes[101] <= 4 * probes[11], probes
 
@@ -671,7 +680,7 @@ class TestCostLaws:
         for budget in (_BLOCK_BYTES, 2**40):
             monkeypatch.setattr(morphology, "_BLOCK_BYTES", budget)
             trace = ErodeTrace()
-            if erode(comp, square_se(101), trace) != erode_runs(comp, square_se(101)):
+            if scan(comp, square_se(101), trace) != erode_runs(comp, square_se(101)):
                 pytest.fail(f"erosion at budget {budget} differs from erode_runs")
             rounds.append(trace.rounds)
         assert rounds[0] <= 4 * rounds[1], rounds
@@ -800,7 +809,7 @@ class TestScanMatchesReference:
     @staticmethod
     def check(x, se):
         trace = ErodeTrace()
-        out = erode(x, se, trace)
+        out = scan(x, se, trace)
         jumps, hits, probes, trimmed = reference_scan(x, se)
         assert (trace.jumps.tolist(), trace.hits.tolist(), trace.probes, trace.trimmed) == \
             ([list(j) for j in jumps], [list(h) for h in hits], probes, len(trimmed))
@@ -911,7 +920,7 @@ class TestScanMatchesReference:
     def test_vertical_trim_paths(self, x, se, counts):
         self.check(x, se)
         trace = ErodeTrace()
-        erode(x, se, trace)
+        scan(x, se, trace)
         assert (trace.trimmed, trace.candidates) == counts
 
     def test_chunk_of_trimmed_runs(self, monkeypatch):
@@ -921,7 +930,7 @@ class TestScanMatchesReference:
         monkeypatch.setattr(morphology, "_BLOCK_BYTES", 8 * len(generate_skeleton(se).entries))
         self.check(x, se)
         trace = ErodeTrace()
-        erode(x, se, trace)
+        scan(x, se, trace)
         assert (trace.trimmed, trace.candidates) == (2, 0)
 
 
@@ -1037,6 +1046,72 @@ class TestVerticalTrim:
         out = [(cx, y0, rx0 - cx + 1) for cx, rx0, y0 in trimmed]
         assert sorted(jumps + out, key=lambda j: (j[1], j[0])) == jumps_all
         assert (hits, probes + len(skel.entries) * len(trimmed)) == (hits_all, probes_all)
+
+
+# w x h rectangles, 1-9 x 1-12, anywhere relative to the origin.
+rectangles = st.builds(lambda w, h, x, y: img(*[(x, x + w - 1, y + j) for j in range(h)]),
+                       st.integers(1, 9), st.integers(1, 12),
+                       st.integers(-12, 12), st.integers(-14, 14))
+tall_grids = hnp.arrays(dtype=bool, shape=st.tuples(st.integers(1, 40), st.integers(1, 16)),
+                        elements=st.booleans())
+
+
+class TestColumnChain:
+    """A w x h rectangle erodes by the column chain, not the scan: x_cut
+    intersected with itself moved up 1, 2, 4, ... rows."""
+
+    @staticmethod
+    def check(x, se):
+        trace = ErodeTrace()
+        out = erode(x, se, trace)
+        # erode returns at once, on no path, when x_cut is empty.
+        chained = len(build_tables(x, generate_skeleton(se)).x_cut) > 0
+        assert trace.columns == chained
+        assert not len(trace.jumps) and trace.trimmed == 0
+        assert out == erode_naive(x, se) == scan(x, se)
+
+    @settings(deadline=None)
+    @given(images, rectangles)
+    def test_random_images(self, x, se):
+        self.check(x, se)
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.integers(8, 96), st.integers(8, 96), st.integers(1, 12),
+           st.integers(0, 2**32 - 1), rectangles)
+    def test_blob_images(self, w, h, blobs, seed, se):
+        self.check(blob_image(w, h, blobs=blobs, min_size=2, max_size=24, seed=seed), se)
+
+    @settings(deadline=None)
+    @given(tall_grids, st.integers(0, 30), st.integers(1, 4), points, rectangles)
+    def test_blank_row_bands(self, grid, lo, extra, origin, se):
+        # A band of blank rows taller than the element: no window spans it.
+        self.check(from_raster(_blank_rows(grid, range(lo, lo + len(se) + extra)), origin), se)
+
+    def test_counts_pinned(self):
+        # x_cut holds 5 runs of 3 pixels; moved up 1 row it leaves 4, and
+        # moved up 1 row again, 3: two steps, 5 + 4 probes, 3 hit runs.
+        trace = ErodeTrace()
+        assert erode(SOLID_5, square_se(3), trace) == img(*[(1, 3, y) for y in range(1, 4)])
+        assert (trace.columns, trace.rounds, trace.probes, trace.hits.tolist()) == \
+            (1, 2, 9, [[2, 0, 3], [2, 1, 3], [2, 2, 3]])
+
+    # The chain's keys (y - y0) * W + (x - x0), W the x range of x_cut plus
+    # 2, must fit int64: (y span + h + 1) * W < 2**63, here 5 * W.
+    W_MAX = (2**63 - 1) // 5
+
+    @pytest.mark.parametrize("width, chained", [(W_MAX, True), (W_MAX + 1, False)],
+                             ids=["chain", "scan"])
+    def test_int64_key_bound(self, width, chained):
+        lx = -(2**60)
+        rx = lx + width - 2
+        x = img(*[run for y in range(3)
+                  for run in ((lx, lx + 5, y), (rx - 5, rx - 2 * (y == 1), y))])
+        column = img((0, 0, 0), (0, 0, 1))
+        trace = ErodeTrace()
+        out = erode(x, column, trace)
+        assert trace.columns == chained
+        assert out == scan(x, column) == img(*[run for y in range(2)
+                                               for run in ((lx, lx + 5, y), (rx - 5, rx - 2, y))])
 
 
 class TestDilate:
