@@ -71,23 +71,26 @@ def _p1_bits(data: bytes, pos: int, width: int, height: int) -> np.ndarray:
     """
     if data.find(b"#", pos) >= 0:  # same length, so the offsets stay
         data = data[:pos] + _COMMENT.sub(lambda m: b" " * len(m[0]), data[pos:])
-    out = np.empty((height, (width + 7) // 8), dtype=np.uint8)
-    rows = max(1, _BLOCK_BYTES // width)
-    ink, p = b"", pos  # the payload's bytes before p, less whitespace and packed digits
-    for t in range(0, height, rows):
-        n = min(rows, height - t) * width
-        while len(ink) < n and p < len(data):
-            ink += data[p : p + _BLOCK_BYTES].translate(None, _WS)
-            p += _BLOCK_BYTES
-        bit = np.frombuffer(ink, dtype=np.uint8, count=min(n, len(ink))) - ord("0")
-        if len(bit) < n or bit.max() > 1:  # any other byte wraps above 1
-            bad = _P1_BAD.search(data, pos)
-            if bad:  # every byte before it is a digit or whitespace
-                raise PbmParseError(f"unexpected byte {bad[0]!r} in P1 payload", bad.start())
-            raise PbmParseError("truncated P1 payload", len(data))
-        out[t : t + rows] = np.packbits(bit.reshape(-1, width), axis=1)
-        ink = ink[n:]
-    return out
+    if len(data) - pos >= width * height:  # every digit takes a byte; else allocate nothing
+        out = np.empty((height, (width + 7) // 8), dtype=np.uint8)
+        rows = max(1, _BLOCK_BYTES // width)
+        ink, p = b"", pos  # the payload's bytes before p, less whitespace and packed digits
+        for t in range(0, height, rows):
+            n = min(rows, height - t) * width
+            while len(ink) < n and p < len(data):
+                ink += data[p : p + _BLOCK_BYTES].translate(None, _WS)
+                p += _BLOCK_BYTES
+            bit = np.frombuffer(ink, dtype=np.uint8, count=min(n, len(ink))) - ord("0")
+            if len(bit) < n or bit.max() > 1:  # any other byte wraps above 1
+                break
+            out[t : t + rows] = np.packbits(bit.reshape(-1, width), axis=1)
+            ink = ink[n:]
+        else:
+            return out
+    bad = _P1_BAD.search(data, pos)
+    if bad:  # every byte before it is a digit or whitespace
+        raise PbmParseError(f"unexpected byte {bad[0]!r} in P1 payload", bad.start())
+    raise PbmParseError("truncated P1 payload", len(data))
 
 
 def read_pbm(data: bytes) -> tuple[RleImage, ImageFileMeta]:

@@ -19,7 +19,7 @@ skeleton (jump on hit).  Dilation is erosion of the complement with the
 reflected element, restricted to two exact rectangles built where both
 boxes are centred on the origin.
 
-One scan, in ``erode``, serves traced and untraced erosion alike.  It moves
+One scan, ``_scan``, serves traced and untraced erosion alike.  It moves
 the ``x_cut`` runs forward in lockstep with numpy, at least one and as many
 at once as keep each per-probe array within ``rle._BLOCK_BYTES``, the
 codec's budget: each round probes every skeleton entry of every live run,
@@ -87,14 +87,14 @@ class ErosionTables:
     built for the skeleton skel.
 
     left and right hold lx and rx of every input run at least skel.l_min long,
-    in (y, lx) order.  rows holds the distinct y of those kept runs, in
-    order, and the kept runs of row rows[r] are left[i] and right[i] for
-    row_ptr[r] <= i < row_ptr[r + 1]; rows without kept runs take no
-    space.  For the kept run that covers pixel x, the left distance is
-    x - lx + 1 and the right distance rx - x + 1; both are 0 where no kept
-    run covers x.  These are the erosion transforms w.r.t. the horizontal
-    jump set {(-1, 0), (0, 0)} and its reflection.  Compared and hashed by
-    identity, as SkeletonTable is.
+    in (y, lx) order.  rows holds the distinct y of those kept runs, in order
+    (x_cut's rows too when l_min == l_max), and the kept runs of row rows[r]
+    are left[i] and right[i] for row_ptr[r] <= i < row_ptr[r + 1]; rows
+    without kept runs take no space.  For the kept run that covers pixel x,
+    the left distance is x - lx + 1 and the right distance rx - x + 1; both
+    are 0 where no kept run covers x.  These are the erosion transforms
+    w.r.t. the horizontal jump set {(-1, 0), (0, 0)} and its reflection.
+    Compared and hashed by identity, as SkeletonTable is.
     """
 
     left: np.ndarray
@@ -236,7 +236,8 @@ def _scan(tables: ErosionTables, trace: ErodeTrace | None) -> np.ndarray:
     sx, sy, depth = tables.skel.entries.T
     step = max(1, _BLOCK_BYTES // (8 * len(sy)))
     blocks = np.concatenate(([0], np.flatnonzero(sy[1:] - sy[:-1] > 1) + 1, [len(sy)]))
-    a, b = sy[blocks[:-1]], sy[blocks[1:] - 1]
+    a, b, size = sy[blocks[:-1]], sy[blocks[1:] - 1], np.diff(blocks)
+    off = (sy - a.repeat(size))[:, None]  # each entry's sy - a, a of its block
     span, sx, d1 = (b - a)[:, None], sx[:, None], (depth - 1)[:, None]
     no_events = np.empty((4, 0), dtype=np.int64)
     hits, jumps, n_round, n_trimmed, seen, x = [no_events], [no_events], 0, 0, 0, no_events[0]
@@ -246,11 +247,8 @@ def _scan(tables: ErosionTables, trace: ErodeTrace | None) -> np.ndarray:
             r0 = rows.searchsorted(np.add.outer(a, new[2]))
             full = ((r0 < len(rows) - span)
                     & (rows.take(r0 + span, mode="clip") == np.add.outer(b, new[2]))).all(axis=0)
-            r0 = r0.compress(full, axis=1)
             # Each cell's row index, then that row's first kept run and end.
-            ci = np.empty((len(sy), len(r0[0])), dtype=np.int64)
-            for i, (lo, hi) in enumerate(zip(blocks, blocks[1:])):
-                np.add.outer(sy[lo:hi] - a[i], r0[i], out=ci[lo:hi])
+            ci = r0.compress(full, axis=1).repeat(size, axis=0) + off
             joined = (*new.compress(full, axis=1), np.flatnonzero(full) + seen,
                       tables.row_ptr[:-1].take(ci), tables.row_ptr[1:].take(ci))
             if len(x):  # the live runs' cells lie along the last axis
@@ -302,32 +300,30 @@ def _record_hits(trace: ErodeTrace, runs: np.ndarray) -> None:
 
 def _chain(tables: ErosionTables, trace: ErodeTrace | None) -> np.ndarray | None:
     """Erode by a column, or return None for the scan to erode.  The
-    skeleton is a column when it has one entry of one depth at sx = 0 on
-    each row 0..h - 1, a w x h rectangle.  x_cut is then already the
-    erosion by its top row, so the result is the pixels of x_cut whose
-    rows y..y + h - 1 all hold them.  Each step intersects the runs
-    covering c rows with themselves moved up s rows, covering c + s: s = c
-    while 2c <= h, then s = h - c once.  On keys (y - y0) * W + (x - x0),
-    W the x range plus 2, no row's keys reach the next row's, so the runs
-    of row y + s that overlap (lx, rx, y) are those from the first whose
-    end key is at least that of (lx, y + s) up to the last whose start key
-    is at most that of (rx, y + s).  Each overlap is a run of the result,
-    in (y, lx) order; returns them as (lx, rx, y) rows.  None also when
-    the keys would not fit int64.  With no h consecutive rows in x_cut
-    nothing fits, and the chain takes no step."""
-    sx, sy, depth = tables.skel.entries.T
+    skeleton is a column when it has one entry at sx = 0 on each row
+    0..h - 1 and l_min == l_max, a w x h rectangle.  x_cut is then already
+    the erosion by its top row, and tables.rows its row index, so the
+    result is the pixels of x_cut whose rows y..y + h - 1 all hold them.
+    Each step intersects the runs covering c rows with themselves moved up
+    s rows, covering c + s: s = c while 2c <= h, then s = h - c once.  On
+    keys (y - y0) * W + (x - x0), W the x range plus 2, no row's keys reach
+    the next row's, so the runs of row y + s that overlap (lx, rx, y) are
+    those from the first whose end key is at least that of (lx, y + s) up
+    to the last whose start key is at most that of (rx, y + s).  Each
+    overlap is a run of the result, in (y, lx) order; returns them as
+    (lx, rx, y) rows.  None also when the keys would not fit int64.  With
+    no h consecutive rows nothing fits, and the chain takes no step."""
+    sx, sy, _ = tables.skel.entries.T
     h = len(sy)
-    if sx.any() or (depth != depth[0]).any() or (sy != np.arange(h)).any():
+    if sx.any() or tables.skel.l_min != tables.skel.l_max or (sy != np.arange(h)).any():
         return None
-    cut = tables.x_cut.array
-    x0, y0 = int(cut[:, 0].min()), int(cut[0, 2])
+    rows, cut = tables.rows, tables.x_cut.array
+    x0, y0 = int(cut[:, 0].min()), int(rows[0])
     width = int(cut[:, 1].max()) - x0 + 2
-    if (int(cut[-1, 2]) - y0 + h + 1) * width >= 2**63:
+    if (int(rows[-1]) - y0 + h + 1) * width >= 2**63:
         return None
-    y = cut[:, 2]
-    base = (y - y0) * width - x0
+    base = (cut[:, 2] - y0) * width - x0
     start, end = base + cut[:, 0], base + cut[:, 1]
-    rows = y.compress(np.append(True, y[1:] != y[:-1]))
     if len(rows) < h or (rows[h - 1:] - rows[:len(rows) - h + 1] != h - 1).all():
         start, end = start[:0], end[:0]
     c, n_steps, n_probes = 1, 0, 0

@@ -387,7 +387,7 @@ def reflect(img: RleImage) -> RleImage:
 
 
 def union(a: RleImage, b: RleImage) -> RleImage:
-    return normalize(np.concatenate((a.array, b.array)))
+    return _cover(np.concatenate((a.array, b.array)), 1)
 
 
 def intersect(a: RleImage, b: RleImage) -> RleImage:

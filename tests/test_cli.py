@@ -168,6 +168,14 @@ class TestCliErodeDilate:
         assert "(byte offset 9)" in capsys.readouterr().err
         assert not (tmp_path / "b.rle").exists()
 
+    def test_p1_header_past_payload_exit_code(self, tmp_path, capsys):
+        # The header asks for 466 GiB of bit rows; the payload is one digit.
+        pbm = tmp_path / "a.pbm"
+        pbm.write_bytes(b"P1\n2000000 2000000\n1\n")
+        assert main(["convert", str(pbm), "-o", str(tmp_path / "b.rle")]) == 2
+        assert "truncated P1 payload" in capsys.readouterr().err
+        assert not (tmp_path / "b.rle").exists()
+
     def test_missing_file_exit_code(self, tmp_path):
         assert main(["erode", str(tmp_path / "no.rle"), str(tmp_path / "no.rle"),
                      "-o", str(tmp_path / "o.rle")]) == 2

@@ -277,6 +277,22 @@ def test_p4_codec_memory_follows_payload():
     assert _peak_bytes(lambda: write_pbm(image, meta, "P4")) < 2.5 * payload
 
 
+@pytest.mark.parametrize("data, message, offset", [
+    (b"P1\n2000000 2000000\n1\n", "truncated P1 payload", 21),
+    (b"P1\n100000000000 100000000000\n1\n", "truncated P1 payload", 31),
+    (b"P1\n2000000 2000000\n1 x\n", "unexpected byte b'x'", 21),
+], ids=["466-GiB-rows", "past-numpy-size", "bad-byte"])
+def test_p1_header_past_payload_allocates_nothing(data, message, offset):
+    # Every digit takes a payload byte, so a header that needs more digits
+    # than the payload has bytes fails before the bit rows are allocated:
+    # at the first bad byte, else at the end.
+    def read():
+        with pytest.raises(PbmParseError, match=message) as info:
+            read_pbm(data)
+        assert info.value.offset == offset
+    assert _peak_bytes(read) < 1 << 20
+
+
 def test_p1_decode_memory_follows_payload():
     # P1 digits are packed to P4's bit rows a block of rows at a time, with
     # no index per byte and no pixel grid.  The random image's short runs

@@ -1095,6 +1095,16 @@ class TestColumnChain:
         assert (trace.columns, trace.rounds, trace.probes, trace.hits.tolist()) == \
             (1, 2, 9, [[2, 0, 3], [2, 1, 3], [2, 2, 3]])
 
+    @pytest.mark.parametrize("x", [load_image_source("tall:1000")[0],
+                                   img(*[(0, 5, y) for y in (0, 1, 3, 4)])],
+                             ids=["tall-1000", "rows-0-1-3-4"])
+    def test_no_window_takes_no_step(self, x):
+        # x_cut has no 3 consecutive rows, so the chain returns at once:
+        # no step, no probe, no hit.
+        trace = ErodeTrace()
+        assert erode(x, square_se(3), trace) == erode_naive(x, square_se(3)) == EMPTY
+        assert (trace.columns, trace.rounds, trace.probes) == (1, 0, 0)
+
     # The chain's keys (y - y0) * W + (x - x0), W the x range of x_cut plus
     # 2, must fit int64: (y span + h + 1) * W < 2**63, here 5 * W.
     W_MAX = (2**63 - 1) // 5
